@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench shardbench obsbench tracebench hotbench hotbench-smoke stormbench stormbench-smoke healthbench healthmon-smoke journalbench journal-smoke grantbench grantbench-smoke netbench netbench-smoke benchdiff nodeprecated doc-lint drift-check obs-demo trace-demo figures clean
+.PHONY: ci fmt vet build test race bench benchreport bench-smoke healthmon-smoke journal-smoke benchdiff nodeprecated doc-lint drift-check obs-demo trace-demo figures clean
 
 # ci is the gate every change must pass: formatting, vet, the
 # no-deprecated-wrappers grep, the godoc and docs-drift lints, build, the
 # full test suite under the race detector (the lock manager and protocol
 # are concurrent; -race is not optional here), the end-to-end
-# incident-dump demo, the fast-path, contention-survival, grant-path, and
-# network smoke benchmarks, the health-monitor smoke gate, and the
-# journal-forensics smoke gate.
-ci: fmt vet nodeprecated doc-lint drift-check build race trace-demo hotbench-smoke stormbench-smoke healthmon-smoke journal-smoke grantbench-smoke netbench-smoke
+# incident-dump demo, the lockbench smoke gate (fast-path,
+# contention-survival, grant-path and network scenarios), the
+# health-monitor smoke gate, and the journal-forensics smoke gate.
+ci: fmt vet nodeprecated doc-lint drift-check build race trace-demo bench-smoke healthmon-smoke journal-smoke
 
 # fmt fails if any file needs gofmt, listing the offenders.
 fmt:
@@ -31,59 +31,35 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# shardbench regenerates BENCH_PR1.json (sharded lock table vs the
-# single-mutex seed replica; see DESIGN.md §8).
-shardbench:
-	$(GO) run ./cmd/lockbench -shardbench -shardout BENCH_PR1.json
+# benchreport regenerates one lockbench scenario report, e.g.
+#   make benchreport BENCH=hot OUT=BENCH_PR4.json        (fast path, DESIGN.md §11)
+#   make benchreport BENCH=storm OUT=BENCH_PR6.json      (contention survival, §12)
+#   make benchreport BENCH=grant OUT=BENCH_PR9.json      (constant-time grant path, §15)
+#   make benchreport BENCH=net OUT=BENCH_PR10.json       (wire loopback cost, §16)
+#   make benchreport BENCH=observers OUT=BENCH_PR12.json (observer overhead, §9)
+benchreport:
+	@if [ -z "$(BENCH)" ] || [ -z "$(OUT)" ]; then \
+		echo "usage: make benchreport BENCH=<hot|storm|grant|net|observers> OUT=<file>"; exit 1; fi
+	$(GO) run ./cmd/lockbench -bench $(BENCH) -out $(OUT)
 
-# obsbench regenerates BENCH_PR2.json (collector overhead + latency
-# quantiles; see DESIGN.md §9).
-obsbench:
-	$(GO) run ./cmd/lockbench -obsbench -obsout BENCH_PR2.json
-
-# tracebench regenerates BENCH_PR3.json (span-tracing overhead at 1-in-64
-# sampling; see DESIGN.md §10).
-tracebench:
-	$(GO) run ./cmd/lockbench -tracebench -traceout BENCH_PR3.json
-
-# hotbench regenerates BENCH_PR4.json (fast-path speedup: granted-mode
-# cache + batched chain acquisition + name cache; see DESIGN.md §11).
-hotbench:
-	$(GO) run ./cmd/lockbench -hotbench -hotout BENCH_PR4.json
-
-# hotbench-smoke runs a quick hotbench into a temp file and asserts, via the
-# flag-gated validation test in cmd/lockbench, that the report parses, the
-# fast path was live, and no row measured the fast path as a slowdown
-# (speedup ≥ 1.0x; the committed BENCH_PR4.json documents the full ≥2x run).
-hotbench-smoke:
-	@f=$$(mktemp) && \
-	$(GO) run ./cmd/lockbench -hotbench -quick -hotout "$$f" >/dev/null && \
-	$(GO) test ./cmd/lockbench -count=1 -run TestExternalHotBenchFile -hotbenchfile "$$f" && \
-	echo "hotbench-smoke: $$f passes (fast path live, no slowdown)" && \
-	rm -f "$$f"
-
-# stormbench regenerates BENCH_PR6.json (contention-survival goodput:
-# RunWithRetry + backoff + admission vs bare spin-restart, plus the
-# fixed-seed chaos convergence phase; see DESIGN.md §12).
-stormbench:
-	$(GO) run ./cmd/lockbench -stormbench -stormout BENCH_PR6.json
-
-# stormbench-smoke runs a quick stormbench into a temp file and asserts, via
-# the flag-gated validation test in cmd/lockbench, that the report parses,
-# no row measured the survival kit as a slowdown (ratio ≥ 1.0x; the
-# committed BENCH_PR6.json documents the full ≥1.5x run), and the fixed-seed
-# chaos phase committed every transaction.
-stormbench-smoke:
-	@f=$$(mktemp) && \
-	$(GO) run ./cmd/lockbench -stormbench -quick -stormout "$$f" >/dev/null && \
-	$(GO) test ./cmd/lockbench -count=1 -run TestExternalStormBenchFile -stormbenchfile "$$f" && \
-	echo "stormbench-smoke: $$f passes (kit no slower than bare, chaos converged)" && \
-	rm -f "$$f"
-
-# healthbench regenerates BENCH_PR7.json (health-monitor overhead at 1-in-64
-# sampling + the SLO burn-and-recover storm; see DESIGN.md §13).
-healthbench:
-	$(GO) run ./cmd/lockbench -healthbench -healthout BENCH_PR7.json
+# bench-smoke runs the hot, storm, grant and net scenarios with -quick into
+# temp files and holds each report, via the table-driven TestExternalBenchFile
+# gate in cmd/lockbench, to its smoke bounds: the fast path is no slowdown
+# (≥1.0x) and was live; the survival kit is no slowdown (≥1.0x) and the chaos
+# phase converged; the hot-root grant path is no slowdown (≥1.0x), the
+# blocked path stays at ≤1 alloc/op and the deferred detector resolves; the
+# wire costs more than in-process (>1.0x). The committed full reports
+# document the headline results.
+bench-smoke:
+	@dir=$$(mktemp -d) && \
+	$(GO) build -o "$$dir/lockbench" ./cmd/lockbench && \
+	for b in hot storm grant net; do \
+		"$$dir/lockbench" -bench $$b -quick -out "$$dir/$$b.json" >/dev/null && \
+		$(GO) test ./cmd/lockbench -count=1 -run TestExternalBenchFile -benchfile "$$dir/$$b.json" || \
+		{ rm -rf "$$dir"; exit 1; }; \
+	done && \
+	echo "bench-smoke: hot, storm, grant and net reports pass their gates" && \
+	rm -rf "$$dir"
 
 # healthmon-smoke runs a scripted colockshell session that storms a hot key
 # and dumps the /health document with `.health dump`, then asserts, via the
@@ -97,12 +73,6 @@ healthmon-smoke:
 	$(GO) test ./internal/health -count=1 -run TestExternalHealthFile -healthfile "$$f" && \
 	echo "healthmon-smoke: $$f passes (verdict parses, hot key in top-K)" && \
 	rm -f "$$f"
-
-# journalbench regenerates BENCH_PR8.json (durable-journal overhead at
-# 1-in-64 sampling against both the bare and collector baselines; see
-# DESIGN.md §14).
-journalbench:
-	$(GO) run ./cmd/lockbench -journalbench -journalout BENCH_PR8.json
 
 # journal-smoke runs a scripted colockshell session with a durable journal
 # attached, storms a hot key, and dumps the live /health verdict; then it
@@ -119,42 +89,6 @@ journal-smoke:
 		-replayfile "$$f" -livehealth "$$hf" && \
 	echo "journal-smoke: replay of $$dir passes (hot key, convoy, SLO verdict matches live)" && \
 	rm -rf "$$dir" "$$hf" "$$f"
-
-# grantbench regenerates BENCH_PR9.json (constant-time grant path:
-# granted-group summaries + pooled wait blocks + deferred deadlock
-# detection vs the pre-change map-scan replica; see DESIGN.md §15).
-grantbench:
-	$(GO) run ./cmd/lockbench -grantbench -grantout BENCH_PR9.json
-
-# grantbench-smoke runs a quick grantbench into a temp file and asserts, via
-# the flag-gated validation test in cmd/lockbench, that the report parses, no
-# hot-root row measured the summary path as a slowdown (≥1.0x; the committed
-# BENCH_PR9.json documents the full ≥1.3x run), the blocked path stays at
-# ≤1 alloc/op, and the deferred detector resolved a real AB-BA cycle.
-grantbench-smoke:
-	@f=$$(mktemp) && \
-	$(GO) run ./cmd/lockbench -grantbench -quick -grantout "$$f" >/dev/null && \
-	$(GO) test ./cmd/lockbench -count=1 -run TestExternalGrantBenchFile -grantbenchfile "$$f" && \
-	echo "grantbench-smoke: $$f passes (summaries live, blocked path alloc-free, detector resolves)" && \
-	rm -f "$$f"
-
-# netbench regenerates BENCH_PR10.json (colockd wire-protocol loopback
-# cost vs the identical in-process loop; see DESIGN.md §16).
-netbench:
-	$(GO) run ./cmd/lockbench -netbench -netout BENCH_PR10.json
-
-# netbench-smoke runs a quick netbench into a temp file and asserts, via
-# the flag-gated validation test in cmd/lockbench, that the report parses,
-# both sides measured real throughput, and the wire costs more than
-# in-process (ratio > 1.0x; the committed full BENCH_PR10.json additionally
-# documents the ≥50k acquires/s bar at 32 connections, which the same test
-# enforces on full reports).
-netbench-smoke:
-	@f=$$(mktemp) && \
-	$(GO) run ./cmd/lockbench -netbench -quick -netout "$$f" >/dev/null && \
-	$(GO) test ./cmd/lockbench -count=1 -run TestExternalNetBenchFile -netbenchfile "$$f" && \
-	echo "netbench-smoke: $$f passes (wire round trips real, costed against in-process)" && \
-	rm -f "$$f"
 
 # doc-lint asserts godoc hygiene: every package has a package doc comment
 # and every exported symbol of the public API packages (client,

@@ -20,6 +20,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 
 	"colock/internal/metrics"
 )
@@ -83,8 +85,14 @@ func summarize(path string) (headline, error) {
 	return h, nil
 }
 
-// tabulate renders the summarized reports; files come in name order, which
-// sorts the PR sequence chronologically (single-digit PR numbers).
+// prNumber is the PR number in a BENCH_PR<n>.json file name.
+func prNumber(path string) int {
+	n, _ := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_PR"), ".json"))
+	return n
+}
+
+// tabulate renders the summarized reports in PR order, which is the
+// chronological order of the sequence.
 func tabulate(dir string) (*metrics.Table, error) {
 	files, err := filepath.Glob(filepath.Join(dir, "BENCH_PR*.json"))
 	if err != nil {
@@ -93,7 +101,7 @@ func tabulate(dir string) (*metrics.Table, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no BENCH_PR*.json files in %s", dir)
 	}
-	sort.Strings(files)
+	sort.Slice(files, func(i, j int) bool { return prNumber(files[i]) < prNumber(files[j]) })
 	tab := metrics.NewTable("Benchmark trajectory across the PR sequence",
 		"report", "benchmark", "rows", "headline")
 	for _, f := range files {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"colock/internal/lock"
 	"colock/internal/trace"
@@ -82,14 +83,37 @@ func TestShellForceTimeout(t *testing.T) {
 	}
 }
 
+// sinkFunc adapts a function to lock.EventSink.
+type sinkFunc func(lock.Event)
+
+func (f sinkFunc) Record(e lock.Event) { f(e) }
+
 // .forcedeadlock must pick a victim, dump an incident, and refuse to run
 // under -deadlock none.
 func TestShellForceDeadlock(t *testing.T) {
 	s, buf := newTestShellPolicy(t, false, lock.PolicyDetect)
+	// The detector may wake the victim before it delivers the victim event,
+	// so the script can finish before the incident is written. Sinks are
+	// delivered in attach order: once this sink, attached after the shell's
+	// incident writer, sees the victim event, the dump exists.
+	recorded := make(chan struct{}, 1)
+	s.proto.Manager().AttachSink(sinkFunc(func(e lock.Event) {
+		if e.Kind == "victim" {
+			select {
+			case recorded <- struct{}{}:
+			default:
+			}
+		}
+	}))
 	runScript(t, s, `.forcedeadlock`, `.quit`)
 	out := buf.String()
 	if !strings.Contains(out, "deadlock") {
 		t.Fatalf("no deadlock reported:\n%s", out)
+	}
+	select {
+	case <-recorded:
+	case <-time.After(10 * time.Second):
+		t.Fatal("victim event never delivered to the sinks")
 	}
 	infos := s.iw.Incidents()
 	if len(infos) != 1 || infos[0].Reason != "victim" {

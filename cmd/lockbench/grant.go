@@ -25,20 +25,16 @@ package main
 //     blocks and every release hands the lock to a queued waiter — the
 //     block-then-grant path the pooled wait blocks make allocation-free.
 //
-// Measurement discipline is hotbench's paired-ABBA slices: fixed work per
-// slice, the two sides run back-to-back in alternating order, the row
-// reports the median within-pair time ratio (machine-load drift divides
+// Measurement discipline is the shared paired-ABBA timer (pairABBA): fixed
+// work per slice, the two sides run back-to-back in alternating order, the
+// row reports the median within-pair time ratio (machine-load drift divides
 // out) plus each side's best-slice throughput.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
-	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
@@ -189,14 +185,14 @@ func (m *scanTable) release(txn lock.TxnID, r lock.Resource) {
 
 // ---- scenarios -------------------------------------------------------------
 
-// grantScenario is one benchmark shape: a setup returning (body, teardown)
-// per side.
+// grantScenario is one benchmark shape: a setup returning the body of each
+// side.
 type grantScenario struct {
 	name string
 	// opsPerIter is how many grant-path operations one body call performs.
 	opsPerIter int
-	baseline   func(workers int) func(id int)
-	current    func(workers int) func(id int)
+	baseline   func() func(id int)
+	current    func() func(id int)
 }
 
 // hotRootScenario: grantResidents IS holders parked on one root, workers
@@ -208,7 +204,7 @@ func hotRootScenario() grantScenario {
 	return grantScenario{
 		name:       "hot_root_is",
 		opsPerIter: 2, // one acquire + one release
-		baseline: func(workers int) func(id int) {
+		baseline: func() func(id int) {
 			tb := newScanTable()
 			for i := 0; i < grantResidents; i++ {
 				tb.acquire(lock.TxnID(i+1), root, lock.IS)
@@ -219,7 +215,7 @@ func hotRootScenario() grantScenario {
 				tb.release(txn, root)
 			}
 		},
-		current: func(workers int) func(id int) {
+		current: func() func(id int) {
 			mgr := lock.NewManager(lock.Options{})
 			for i := 0; i < grantResidents; i++ {
 				if err := mgr.AcquireCtx(context.Background(), lock.TxnID(i+1), root, lock.IS); err != nil {
@@ -244,7 +240,7 @@ func convoyScenario() grantScenario {
 	return grantScenario{
 		name:       "convoy_x",
 		opsPerIter: 2,
-		baseline: func(workers int) func(id int) {
+		baseline: func() func(id int) {
 			tb := newScanTable()
 			return func(id int) {
 				txn := lock.TxnID(id + 1)
@@ -252,7 +248,7 @@ func convoyScenario() grantScenario {
 				tb.release(txn, gate)
 			}
 		},
-		current: func(workers int) func(id int) {
+		current: func() func(id int) {
 			mgr := lock.NewManager(lock.Options{})
 			return func(id int) {
 				txn := lock.TxnID(id + 1)
@@ -304,24 +300,6 @@ type grantBenchReport struct {
 	// DeadlockResolved is the end-to-end detector probe: a real AB-BA cycle
 	// was constructed on the deferred path and its victim saw ErrDeadlock.
 	DeadlockResolved bool `json:"deadlock_resolved"`
-}
-
-// timeGrantWorkers runs iters body calls on each of workers goroutines and
-// returns the wall time (fixed work under a wall clock; see tracebench).
-func timeGrantWorkers(workers, iters int, body func(id int)) time.Duration {
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for n := 0; n < iters; n++ {
-				body(id)
-			}
-		}(i)
-	}
-	wg.Wait()
-	return time.Since(start)
 }
 
 // blockedAllocsPerOp measures heap allocations per block-then-grant
@@ -410,8 +388,9 @@ func probeDeferredDetector() (resolved bool, deferred, runs uint64) {
 }
 
 // runGrantBench measures both scenarios at each worker count with the
-// paired-ABBA slice discipline, then the allocation and detector probes.
-func runGrantBench(workerCounts []int, dur time.Duration, allocIters int) *grantBenchReport {
+// paired-ABBA timer (baseline against current), then the allocation and
+// detector probes.
+func runGrantBench(sc scale) (report, error) {
 	rep := &grantBenchReport{
 		Benchmark: "grantbench",
 		Description: "lock-manager grant-path throughput with PR-9 granted-group summaries + pooled " +
@@ -420,56 +399,23 @@ func runGrantBench(workerCounts []int, dur time.Duration, allocIters int) *grant
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Residents:  grantResidents,
 	}
-	// Tiny bench heap: let GC fire at the explicit slice boundaries rather
-	// than mid-measurement (same rationale as hotbench/tracebench).
-	defer debug.SetGCPercent(debug.SetGCPercent(800))
-	const pairs = 35
-	sliceDur := dur / 12
-	for _, sc := range []grantScenario{hotRootScenario(), convoyScenario()} {
-		for _, w := range workerCounts {
-			runBase := sc.baseline(w)
-			runCur := sc.current(w)
-			const calIters = 500
-			calDur := timeGrantWorkers(w, calIters, runBase)
-			iters := int(float64(calIters) * float64(sliceDur) / float64(calDur+1))
-			if iters < calIters {
-				iters = calIters
-			}
-			base := func() time.Duration { defer runtime.GC(); return timeGrantWorkers(w, iters, runBase) }
-			cur := func() time.Duration { defer runtime.GC(); return timeGrantWorkers(w, iters, runCur) }
-			base() // warmup
-			cur()
-			ratios := make([]float64, 0, pairs)
-			bestB, bestC := time.Duration(1<<62), time.Duration(1<<62)
-			for i := 0; i < pairs; i++ {
-				var b, c time.Duration
-				if i%2 == 0 {
-					b = base()
-					c = cur()
-				} else {
-					c = cur()
-					b = base()
-				}
-				ratios = append(ratios, float64(b)/float64(c))
-				if b < bestB {
-					bestB = b
-				}
-				if c < bestC {
-					bestC = c
-				}
-			}
-			sort.Float64s(ratios)
-			ops := float64(w) * float64(iters) * float64(sc.opsPerIter)
+	for _, gs := range []grantScenario{hotRootScenario(), convoyScenario()} {
+		for _, w := range sc.workers {
+			p := pairABBA(w, gs.opsPerIter, 35, sc.dur/12, gs.baseline(), gs.current())
 			rep.Results = append(rep.Results, grantResult{
-				Scenario:          sc.name,
+				Scenario:          gs.name,
 				Goroutines:        w,
-				BaselineOpsPerSec: ops / bestB.Seconds(),
-				CurrentOpsPerSec:  ops / bestC.Seconds(),
-				Speedup:           ratios[len(ratios)/2],
+				BaselineOpsPerSec: p.aOps,
+				CurrentOpsPerSec:  p.bOps,
+				Speedup:           p.ratio,
 			})
 		}
 	}
 
+	allocIters := 20000
+	if sc.quick {
+		allocIters = 2000
+	}
 	rep.BlockedAllocsPerOp, rep.BaselineBlockedAllocsPerOp = blockedAllocsPerOp(allocIters)
 
 	// Counter evidence: one more current-side hot-root burst on a fresh
@@ -484,30 +430,11 @@ func runGrantBench(workerCounts []int, dur time.Duration, allocIters int) *grant
 		mgr.Release(10000, root)
 	}
 	rep.SummaryFastChecks = mgr.Stats().SummaryFastChecks
-
-	resolved, deferred, runs := probeDeferredDetector()
-	rep.DeadlockResolved = resolved
-	rep.DeferredDetections = deferred
-	rep.DetectorRuns = runs
-	return rep
-}
-
-// writeGrantBench runs the benchmark and writes the JSON report to path.
-func writeGrantBench(path string, workerCounts []int, dur time.Duration, allocIters int) (*grantBenchReport, error) {
-	rep := runGrantBench(workerCounts, dur, allocIters)
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return nil, err
-	}
+	rep.DeadlockResolved, rep.DeferredDetections, rep.DetectorRuns = probeDeferredDetector()
 	return rep, nil
 }
 
-// printGrantBench renders the report as a console table.
-func printGrantBench(rep *grantBenchReport) {
+func (rep *grantBenchReport) print() {
 	tab := metrics.NewTable(
 		fmt.Sprintf("Grant-path speedup (GOMAXPROCS=%d, %d resident IS holders on the hot root)",
 			rep.GOMAXPROCS, rep.Residents),

@@ -13,13 +13,8 @@ package main
 // per chain and serves the repeats from the cache.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
-	"runtime/debug"
-	"sort"
-	"time"
 
 	"colock/internal/core"
 	"colock/internal/lock"
@@ -66,9 +61,8 @@ type hotBenchReport struct {
 // hotWorkload builds one side of the comparison: the paper database behind a
 // protocol, with the fast path either fully enabled (grant cache + name
 // cache + batching) or fully disabled. The returned body runs one
-// transaction — hotRepeat S-lock sweeps over five hot leaves, then release —
-// and returns its op count.
-func hotWorkload(fast bool) (func(id int) uint64, *lock.Manager, *core.Protocol) {
+// transaction: hotRepeat S-lock sweeps over five hot leaves, then release.
+func hotWorkload(fast bool) (func(id int), *lock.Manager, *core.Protocol) {
 	st := store.PaperDatabase()
 	nm := core.NewNamer(st.Catalog(), false)
 	var opts core.Options
@@ -85,7 +79,7 @@ func hotWorkload(fast bool) (func(id int) uint64, *lock.Manager, *core.Protocol)
 		store.P("effectors", "e2", "tool"),
 		store.P("effectors", "e3", "tool"),
 	}
-	return func(id int) uint64 {
+	return func(id int) {
 		txn := lock.TxnID(id + 1)
 		for rep := 0; rep < hotRepeat; rep++ {
 			for _, pa := range paths {
@@ -93,7 +87,6 @@ func hotWorkload(fast bool) (func(id int) uint64, *lock.Manager, *core.Protocol)
 			}
 		}
 		mgr.ReleaseAll(txn)
-		return hotPathsPerTxn
 	}, mgr, p
 }
 
@@ -116,11 +109,8 @@ func hotAllocsPerOp(fast bool) float64 {
 }
 
 // runHotBench measures the fast-path speedup at each worker count with the
-// paired-ABBA slice discipline of tracebench, on fixed work: each slice
-// times a constant number of transactions, each pair runs its two sides
-// back-to-back (so machine-load drift divides out of the pair's time ratio),
-// and the row reports the median pair ratio with best-slice throughput.
-func runHotBench(workerCounts []int, dur time.Duration) *hotBenchReport {
+// paired-ABBA timer (baseline against fast side), then the allocation probe.
+func runHotBench(sc scale) (report, error) {
 	rep := &hotBenchReport{
 		Benchmark: "hotbench",
 		Description: "protocol-level LockPath throughput with the PR-4 fast path " +
@@ -129,78 +119,25 @@ func runHotBench(workerCounts []int, dur time.Duration) *hotBenchReport {
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		PathsPerTxn: hotPathsPerTxn,
 	}
-	// Same rationale as tracebench: the bench heap is tiny, so let GC fire at
-	// the explicit slice boundaries instead of mid-measurement.
-	defer debug.SetGCPercent(debug.SetGCPercent(800))
-	const pairs = 35
-	sliceDur := dur / 12
-	for _, w := range workerCounts {
+	for _, w := range sc.workers {
 		runBase, _, _ := hotWorkload(false)
 		runFast, fastMgr, fastProto := hotWorkload(true)
-		// Calibrate the per-slice iteration count so a clean slice takes
-		// about sliceDur, then hold the work fixed for every slice.
-		const calIters = 500
-		calDur := timeProtoWorkers(w, calIters, runBase)
-		iters := int(float64(calIters) * float64(sliceDur) / float64(calDur+1))
-		if iters < calIters {
-			iters = calIters
-		}
-		base := func() time.Duration { defer runtime.GC(); return timeProtoWorkers(w, iters, runBase) }
-		fast := func() time.Duration { defer runtime.GC(); return timeProtoWorkers(w, iters, runFast) }
-		base() // warmup
-		fast()
-		ratios := make([]float64, 0, pairs)
-		bestB, bestF := time.Duration(1<<62), time.Duration(1<<62)
-		for i := 0; i < pairs; i++ {
-			var b, f time.Duration
-			if i%2 == 0 {
-				b = base()
-				f = fast()
-			} else {
-				f = fast()
-				b = base()
-			}
-			ratios = append(ratios, float64(b)/float64(f))
-			if b < bestB {
-				bestB = b
-			}
-			if f < bestF {
-				bestF = f
-			}
-		}
-		sort.Float64s(ratios)
-		median := ratios[len(ratios)/2]
-		ops := float64(w) * float64(iters) * hotPathsPerTxn
+		p := pairABBA(w, hotPathsPerTxn, 35, sc.dur/12, runBase, runFast)
 		rep.Results = append(rep.Results, hotResult{
 			Goroutines:        w,
-			BaselineOpsPerSec: ops / bestB.Seconds(),
-			FastOpsPerSec:     ops / bestF.Seconds(),
-			Speedup:           median,
+			BaselineOpsPerSec: p.aOps,
+			FastOpsPerSec:     p.bOps,
+			Speedup:           p.ratio,
 		})
 		rep.FastPathHits += fastProto.Stats().FastPathHits
 		rep.BatchCalls += fastMgr.Stats().Batches
 	}
 	rep.BaselineAllocsPerOp = hotAllocsPerOp(false)
 	rep.FastAllocsPerOp = hotAllocsPerOp(true)
-	return rep
-}
-
-// writeHotBench runs the benchmark and writes the JSON report to path.
-func writeHotBench(path string, workerCounts []int, dur time.Duration) (*hotBenchReport, error) {
-	rep := runHotBench(workerCounts, dur)
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return nil, err
-	}
 	return rep, nil
 }
 
-// printHotBench renders the report as a console table.
-func printHotBench(rep *hotBenchReport) {
+func (rep *hotBenchReport) print() {
 	tab := metrics.NewTable(
 		fmt.Sprintf("Fast-path speedup (GOMAXPROCS=%d, %d LockPaths/txn)", rep.GOMAXPROCS, rep.PathsPerTxn),
 		"goroutines", "baseline ops/s", "fast ops/s", "speedup")

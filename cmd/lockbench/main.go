@@ -1,26 +1,35 @@
 // Command lockbench runs the quantitative experiments E1-E13 that turn the
 // paper's qualitative evaluation (§4.6) into measurements (see DESIGN.md §5
-// for the claim → experiment index):
+// for the claim → experiment index), and the in-process bench scenarios
+// that each price one layer against a disabled or frozen baseline:
 //
-//	lockbench              # run the full suite (EXPERIMENTS.md scale)
-//	lockbench -quick       # small-scale smoke run
-//	lockbench -e E3,E5     # run selected experiments (E1..E13)
-//	lockbench -shardbench  # before/after sharded-table benchmark → BENCH_PR1.json
-//	lockbench -obsbench    # collector-overhead + latency benchmark → BENCH_PR2.json
-//	lockbench -tracebench  # span-tracing-overhead benchmark → BENCH_PR3.json
-//	lockbench -hotbench    # fast-path speedup benchmark → BENCH_PR4.json
-//	lockbench -stormbench  # contention-survival goodput benchmark → BENCH_PR6.json
-//	lockbench -healthbench # health-monitor overhead + SLO storm → BENCH_PR7.json
-//	lockbench -journalbench # durable-journal overhead benchmark → BENCH_PR8.json
-//	lockbench -grantbench  # constant-time grant-path benchmark → BENCH_PR9.json
-//	lockbench -netbench    # network lock-service loopback benchmark → BENCH_PR10.json
+//	lockbench                          # run the full suite (EXPERIMENTS.md scale)
+//	lockbench -quick                   # small-scale smoke run
+//	lockbench -e E3,E5                 # run selected experiments (E1..E13)
+//	lockbench -bench hot -out f.json   # run one scenario, write its JSON report
+//	lockbench -bench net -quick -out f.json
+//
+// The scenarios (see scenarios below) are hot (fast-path speedup,
+// BENCH_PR4.json), storm (contention-survival goodput, BENCH_PR6.json),
+// grant (constant-time grant path, BENCH_PR9.json), net (wire loopback cost,
+// BENCH_PR10.json) and observers (collector, recorder, health monitor and
+// journal overhead, BENCH_PR12.json). -out has no default, so a run never
+// overwrites a committed report by accident. The table-driven
+// TestExternalBenchFile test holds any report to its scenario's bounds;
+// `make bench-smoke` runs it on quick hot, storm, grant and net reports.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
+	"os"
+	"runtime"
+	"runtime/debug"
+	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"colock/internal/experiments"
@@ -115,184 +124,170 @@ func experimentRunners() map[string]func(quick bool) *metrics.Table {
 	}
 }
 
+// scale sizes one scenario run: the goroutine (or connection) counts it
+// sweeps and the measurement budget per count.
+type scale struct {
+	quick   bool
+	workers []int
+	dur     time.Duration
+}
+
+// report is a scenario's JSON document; print renders it for the console.
+type report interface{ print() }
+
+// scenario is one registered bench: its full and -quick sizes and its
+// runner.
+type scenario struct {
+	full, quick scale
+	run         func(scale) (report, error)
+}
+
+// scenarios is the -bench registry.
+var scenarios = map[string]scenario{
+	"hot": {
+		full:  scale{false, []int{1, 2, 4, 8, 16, 32}, 2 * time.Second},
+		quick: scale{true, []int{1, 4}, 300 * time.Millisecond},
+		run:   runHotBench,
+	},
+	"storm": {
+		full:  scale{false, []int{8, 32}, 2 * time.Second},
+		quick: scale{true, []int{4}, 300 * time.Millisecond},
+		run:   runStormBench,
+	},
+	"grant": {
+		full:  scale{false, []int{1, 4, 16}, 2 * time.Second},
+		quick: scale{true, []int{1, 4}, 300 * time.Millisecond},
+		run:   runGrantBench,
+	},
+	"net": {
+		full:  scale{false, []int{1, 8, 32}, 2 * time.Second},
+		quick: scale{true, []int{1, 4}, 400 * time.Millisecond},
+		run:   runNetBench,
+	},
+	"observers": {
+		full:  scale{false, []int{1, 4, 16}, 2 * time.Second},
+		quick: scale{true, []int{1, 4}, 300 * time.Millisecond},
+		run:   runObserversBench,
+	},
+}
+
+// writeJSON writes v to path as indented JSON with a trailing newline.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// timeWorkers runs a fixed amount of work — iters body calls on each of
+// workers goroutines — and returns the wall time it took. Fixed work under a
+// wall clock (instead of fixed time under an op counter) is what makes the
+// best-slice estimator sound: interference only ever adds time, so the
+// fastest of many repetitions is the least contaminated measurement.
+func timeWorkers(workers, iters int, body func(id int)) time.Duration {
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for n := 0; n < iters; n++ {
+				body(id)
+			}
+		}(i)
+	}
+	wg.Wait()
+	return time.Since(start)
+}
+
+// pair is the outcome of one paired-ABBA comparison of sides a and b.
+type pair struct {
+	ratio      float64 // median within-pair time ratio a/b
+	aOps, bOps float64 // each side's best-slice throughput, ops/s
+}
+
+// pairABBA compares two bodies on fixed work. It calibrates the per-slice
+// iteration count on side a so a slice takes about slice, warms both sides,
+// then times pairs slice pairs back-to-back in alternating order (a,b then
+// b,a), so machine-load drift hits both sides of a pair equally and divides
+// out of the pair's time ratio. The median ratio drops the pairs a
+// descheduling burst poisoned. opsPerIter converts iterations into the
+// reported operations.
+func pairABBA(workers, opsPerIter, pairs int, slice time.Duration, a, b func(id int)) pair {
+	// The bench heap is tiny: let GC fire at the explicit slice boundaries
+	// instead of mid-measurement, and collect after every slice so one
+	// slice's allocation debt is never billed to the next.
+	defer debug.SetGCPercent(debug.SetGCPercent(800))
+	iters := 1
+	for {
+		d := timeWorkers(workers, iters, a)
+		if d >= slice/8 {
+			iters = max(1, int(float64(iters)*float64(slice)/float64(d)))
+			break
+		}
+		iters *= 2
+	}
+	timed := func(body func(id int)) time.Duration {
+		defer runtime.GC()
+		return timeWorkers(workers, iters, body)
+	}
+	timed(a) // warmup
+	timed(b)
+	ratios := make([]float64, 0, pairs)
+	bestA, bestB := time.Duration(1<<62), time.Duration(1<<62)
+	for i := 0; i < pairs; i++ {
+		var da, db time.Duration
+		if i%2 == 0 {
+			da, db = timed(a), timed(b)
+		} else {
+			db, da = timed(b), timed(a)
+		}
+		ratios = append(ratios, float64(da)/float64(db))
+		bestA, bestB = min(bestA, da), min(bestB, db)
+	}
+	sort.Float64s(ratios)
+	ops := float64(workers * iters * opsPerIter)
+	return pair{ratio: ratios[len(ratios)/2], aOps: ops / bestA.Seconds(), bOps: ops / bestB.Seconds()}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lockbench: ")
-	quick := flag.Bool("quick", false, "run a small-scale suite")
+	quick := flag.Bool("quick", false, "run a small-scale suite or scenario")
 	sel := flag.String("e", "", "comma-separated experiment ids (E1..E13); empty = all")
-	shardbench := flag.Bool("shardbench", false, "run the sharded-lock-table before/after benchmark and write -shardout")
-	shardout := flag.String("shardout", "BENCH_PR1.json", "output path for the -shardbench JSON report")
-	obsbench := flag.Bool("obsbench", false, "run the observability-overhead benchmark and write -obsout")
-	obsout := flag.String("obsout", "BENCH_PR2.json", "output path for the -obsbench JSON report")
-	tracebench := flag.Bool("tracebench", false, "run the span-tracing-overhead benchmark and write -traceout")
-	traceout := flag.String("traceout", "BENCH_PR3.json", "output path for the -tracebench JSON report")
-	hotbench := flag.Bool("hotbench", false, "run the fast-path speedup benchmark and write -hotout")
-	hotout := flag.String("hotout", "BENCH_PR4.json", "output path for the -hotbench JSON report")
-	stormbench := flag.Bool("stormbench", false, "run the contention-survival goodput benchmark and write -stormout")
-	stormout := flag.String("stormout", "BENCH_PR6.json", "output path for the -stormbench JSON report")
-	healthbench := flag.Bool("healthbench", false, "run the health-monitor overhead benchmark and write -healthout")
-	healthout := flag.String("healthout", "BENCH_PR7.json", "output path for the -healthbench JSON report")
-	journalbench := flag.Bool("journalbench", false, "run the durable-journal overhead benchmark and write -journalout")
-	journalout := flag.String("journalout", "BENCH_PR8.json", "output path for the -journalbench JSON report")
-	grantbench := flag.Bool("grantbench", false, "run the constant-time grant-path benchmark and write -grantout")
-	grantout := flag.String("grantout", "BENCH_PR9.json", "output path for the -grantbench JSON report")
-	netbench := flag.Bool("netbench", false, "run the network lock-service loopback benchmark and write -netout")
-	netout := flag.String("netout", "BENCH_PR10.json", "output path for the -netbench JSON report")
+	bench := flag.String("bench", "", "run one bench scenario (hot, storm, grant, net, observers) instead of the experiments")
+	out := flag.String("out", "", "output path for the -bench JSON report (required with -bench)")
 	flag.Parse()
 
-	if *netbench {
-		dur := 2 * time.Second
-		conns := []int{1, 8, 32}
+	if *bench != "" {
+		sc, ok := scenarios[*bench]
+		if !ok {
+			log.Fatalf("unknown scenario %q (have hot, storm, grant, net, observers)", *bench)
+		}
+		if *out == "" {
+			log.Fatal("-bench needs -out")
+		}
+		size := sc.full
 		if *quick {
-			dur = 400 * time.Millisecond
-			conns = []int{1, 4}
+			size = sc.quick
 		}
-		rep, err := writeNetBench(*netout, conns, dur, *quick)
+		rep, err := sc.run(size)
 		if err != nil {
-			log.Fatalf("netbench: %v", err)
+			log.Fatalf("%s: %v", *bench, err)
 		}
-		printNetBench(rep)
-		fmt.Printf("report written to %s\n", *netout)
-		return
-	}
-
-	if *grantbench {
-		dur := 2 * time.Second
-		workers := []int{1, 4, 16}
-		allocIters := 20000
-		if *quick {
-			dur = 300 * time.Millisecond
-			workers = []int{1, 4}
-			allocIters = 2000
+		if err := writeJSON(*out, rep); err != nil {
+			log.Fatalf("%s: %v", *bench, err)
 		}
-		rep, err := writeGrantBench(*grantout, workers, dur, allocIters)
-		if err != nil {
-			log.Fatalf("grantbench: %v", err)
-		}
-		printGrantBench(rep)
-		fmt.Printf("report written to %s\n", *grantout)
-		return
-	}
-
-	if *journalbench {
-		dur := 2 * time.Second
-		workers := []int{1, 4, 16}
-		if *quick {
-			dur = 300 * time.Millisecond
-			workers = []int{1, 4}
-		}
-		rep, err := writeJournalBench(*journalout, workers, dur)
-		if err != nil {
-			log.Fatalf("journalbench: %v", err)
-		}
-		printJournalBench(rep)
-		fmt.Printf("report written to %s\n", *journalout)
-		return
-	}
-
-	if *healthbench {
-		dur := 2 * time.Second
-		workers := []int{1, 4, 16}
-		if *quick {
-			dur = 300 * time.Millisecond
-			workers = []int{1, 4}
-		}
-		rep, err := writeHealthBench(*healthout, workers, dur)
-		if err != nil {
-			log.Fatalf("healthbench: %v", err)
-		}
-		printHealthBench(rep)
-		fmt.Printf("report written to %s\n", *healthout)
-		return
-	}
-
-	if *stormbench {
-		workers := []int{8, 32}
-		dur := 2 * time.Second
-		chaosWorkers, chaosTxns := 8, 25
-		if *quick {
-			workers = []int{4}
-			dur = 300 * time.Millisecond
-			chaosWorkers, chaosTxns = 4, 10
-		}
-		rep, err := writeStormBench(*stormout, workers, dur, chaosWorkers, chaosTxns)
-		if err != nil {
-			log.Fatalf("stormbench: %v", err)
-		}
-		printStormBench(rep)
-		fmt.Printf("report written to %s\n", *stormout)
-		return
-	}
-
-	if *hotbench {
-		dur := 2 * time.Second
-		workers := []int{1, 2, 4, 8, 16, 32}
-		if *quick {
-			dur = 300 * time.Millisecond
-			workers = []int{1, 4}
-		}
-		rep, err := writeHotBench(*hotout, workers, dur)
-		if err != nil {
-			log.Fatalf("hotbench: %v", err)
-		}
-		printHotBench(rep)
-		fmt.Printf("report written to %s\n", *hotout)
-		return
-	}
-
-	if *tracebench {
-		dur := 2 * time.Second
-		if *quick {
-			dur = 300 * time.Millisecond
-		}
-		rep, err := writeTraceBench(*traceout, []int{1, 4, 16}, dur)
-		if err != nil {
-			log.Fatalf("tracebench: %v", err)
-		}
-		printTraceBench(rep)
-		fmt.Printf("report written to %s\n", *traceout)
-		return
-	}
-
-	if *obsbench {
-		dur := 2 * time.Second
-		if *quick {
-			dur = 300 * time.Millisecond
-		}
-		rep, err := writeObsBench(*obsout, []int{1, 4, 16}, dur)
-		if err != nil {
-			log.Fatalf("obsbench: %v", err)
-		}
-		printObsBench(rep)
-		fmt.Printf("report written to %s\n", *obsout)
-		return
-	}
-
-	if *shardbench {
-		dur := 2 * time.Second
-		if *quick {
-			dur = 300 * time.Millisecond
-		}
-		rep, err := writeShardBench(*shardout, []int{1, 4, 16}, dur)
-		if err != nil {
-			log.Fatalf("shardbench: %v", err)
-		}
-		fmt.Printf("shardbench (GOMAXPROCS=%d, %d shards, %d locks/txn):\n",
-			rep.GOMAXPROCS, rep.Shards, rep.LocksPerTxn)
-		for _, r := range rep.Results {
-			fmt.Printf("  %2d goroutines: before %12.0f ops/s   after %12.0f ops/s   speedup %.2fx\n",
-				r.Goroutines, r.BeforeOpsPerSec, r.AfterOpsPerSec, r.Speedup)
-		}
-		fmt.Printf("report written to %s\n", *shardout)
+		rep.print()
+		fmt.Printf("report written to %s\n", *out)
 		return
 	}
 
 	runners := experimentRunners()
-	order := experimentOrder
-
 	var ids []string
 	if *sel == "" {
-		ids = order
+		ids = experimentOrder
 	} else {
 		for _, id := range strings.Split(*sel, ",") {
 			id = strings.ToUpper(strings.TrimSpace(id))

@@ -15,12 +15,12 @@ package main
 // in-process side uses the identical option, so the comparison stays
 // apples-to-apples. The in-process side runs the identical loop against
 // its own txn.Manager with the same goroutine count. Measurement
-// discipline is the paired-ABBA slice: fixed work per slice, both sides
-// back-to-back in alternating order, the row reports the median
+// discipline is the shared paired-ABBA timer: fixed work per slice, both
+// sides back-to-back in alternating order, the row reports the median
 // within-pair time ratio (local over net — how many times faster the
 // in-process path is) plus each side's best-slice acquire throughput and
 // the network side's per-acquire latency distribution (p50/p99 over every
-// measured slice).
+// slice the timer ran, calibration and warmup included).
 //
 // The network layer adds no lock semantics and is excluded from the
 // paper's request-count experiments (E1-E8); this benchmark quantifies the
@@ -28,13 +28,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
-	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 
 	"colock/client"
@@ -104,85 +100,60 @@ func newNetHarness() (*netHarness, error) {
 
 func (h *netHarness) close() { h.srv.Close() }
 
-// runNetSlice drives iters transactions on each of conns×netPipelineDepth
-// worker goroutines (netPipelineDepth pipelined transactions per
-// connection) and returns the wall time. Per-acquire latencies are
-// appended to each worker's sample slice when lats is non-nil.
-func runNetSlice(clients []*client.Client, iters int, lats [][]float64) time.Duration {
+// netBody is one network-side worker: worker id drives pipeline slot
+// id%netPipelineDepth of connection id/netPipelineDepth, running one
+// Begin → netLocksPerTxn NOFOLLOW S locks → Commit transaction per call and
+// appending each acquire's latency (µs) to lats[id].
+func netBody(clients []*client.Client, lats [][]float64) func(id int) {
 	node := core.DataNode(store.P("cells", "c1"))
 	ctx := context.Background()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i, c := range clients {
-		for d := 0; d < netPipelineDepth; d++ {
-			wg.Add(1)
-			go func(w int, c *client.Client) {
-				defer wg.Done()
-				for n := 0; n < iters; n++ {
-					t, err := c.Begin(ctx)
-					if err != nil {
-						panic(err)
-					}
-					for k := 0; k < netLocksPerTxn; k++ {
-						t0 := time.Now()
-						if err := t.Lock(ctx, node, lock.S, client.WithNoFollow()); err != nil {
-							panic(err)
-						}
-						if lats != nil {
-							lats[w] = append(lats[w], float64(time.Since(t0).Microseconds()))
-						}
-					}
-					if err := t.Commit(); err != nil {
-						panic(err)
-					}
-				}
-			}(i*netPipelineDepth+d, c)
+	return func(id int) {
+		t, err := clients[id/netPipelineDepth].Begin(ctx)
+		if err != nil {
+			panic(err)
+		}
+		for k := 0; k < netLocksPerTxn; k++ {
+			t0 := time.Now()
+			if err := t.Lock(ctx, node, lock.S, client.WithNoFollow()); err != nil {
+				panic(err)
+			}
+			lats[id] = append(lats[id], float64(time.Since(t0).Microseconds()))
+		}
+		if err := t.Commit(); err != nil {
+			panic(err)
 		}
 	}
-	wg.Wait()
-	return time.Since(start)
 }
 
-// runLocalSlice is the identical transaction loop against the in-process
-// manager, with the same goroutine count (conns×netPipelineDepth) and the
-// same NOFOLLOW acquires.
-func runLocalSlice(tm *txn.Manager, conns, iters int) time.Duration {
+// localBody is the identical transaction against the in-process manager,
+// with the same NOFOLLOW acquires.
+func localBody(tm *txn.Manager) func(id int) {
 	node := core.DataNode(store.P("cells", "c1"))
 	ctx := context.Background()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < conns*netPipelineDepth; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := 0; n < iters; n++ {
-				t := tm.Begin()
-				for k := 0; k < netLocksPerTxn; k++ {
-					if err := t.Lock(ctx, node, lock.S, txn.WithNoFollow()); err != nil {
-						panic(err)
-					}
-				}
-				if err := t.Commit(); err != nil {
-					panic(err)
-				}
+	return func(int) {
+		t := tm.Begin()
+		for k := 0; k < netLocksPerTxn; k++ {
+			if err := t.Lock(ctx, node, lock.S, txn.WithNoFollow()); err != nil {
+				panic(err)
 			}
-		}()
+		}
+		if err := t.Commit(); err != nil {
+			panic(err)
+		}
 	}
-	wg.Wait()
-	return time.Since(start)
 }
 
 func percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
+	return sorted[int(p*float64(len(sorted)-1))]
 }
 
-// runNetBench measures every connection count with the paired-ABBA slice
-// discipline.
-func runNetBench(connCounts []int, dur time.Duration, quick bool) (*netBenchReport, error) {
+// runNetBench measures every connection count with the paired-ABBA timer
+// (network against local side, both with conns×netPipelineDepth
+// goroutines).
+func runNetBench(sc scale) (report, error) {
 	rep := &netBenchReport{
 		Benchmark: "netbench",
 		Description: "colockd wire-protocol loopback cost: Begin + NOFOLLOW shared locks + Commit, " +
@@ -190,18 +161,16 @@ func runNetBench(connCounts []int, dur time.Duration, quick bool) (*netBenchRepo
 			"the identical loop on an in-process txn.Manager; local_over_net_ratio is the median " +
 			"within-pair time ratio (in-process over network)",
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Quick:         quick,
+		Quick:         sc.quick,
 		LocksPerTxn:   netLocksPerTxn,
 		PipelineDepth: netPipelineDepth,
 		NoFollow:      true,
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(800))
 	pairs := 9
-	if quick {
+	if sc.quick {
 		pairs = 3
 	}
-	sliceDur := dur / 6
-	for _, conns := range connCounts {
+	for _, conns := range sc.workers {
 		h, err := newNetHarness()
 		if err != nil {
 			return nil, err
@@ -213,65 +182,21 @@ func runNetBench(connCounts []int, dur time.Duration, quick bool) (*netBenchRepo
 				return nil, err
 			}
 		}
-
-		// Calibrate iters on the slow (network) side so one slice lands near
-		// sliceDur.
-		const calIters = 20
-		calDur := runNetSlice(clients, calIters, nil)
-		iters := int(float64(calIters) * float64(sliceDur) / float64(calDur+1))
-		if iters < calIters {
-			iters = calIters
-		}
-
 		lats := make([][]float64, conns*netPipelineDepth)
-		for i := range lats {
-			lats[i] = make([]float64, 0, pairs*iters*netLocksPerTxn)
-		}
-		net := func(measure bool) time.Duration {
-			defer runtime.GC()
-			if measure {
-				return runNetSlice(clients, iters, lats)
-			}
-			return runNetSlice(clients, iters, nil)
-		}
-		local := func() time.Duration { defer runtime.GC(); return runLocalSlice(h.local, conns, iters) }
-		net(false) // warmup
-		local()
-		ratios := make([]float64, 0, pairs)
-		bestNet, bestLocal := time.Duration(1<<62), time.Duration(1<<62)
-		for i := 0; i < pairs; i++ {
-			var n, l time.Duration
-			if i%2 == 0 {
-				n = net(true)
-				l = local()
-			} else {
-				l = local()
-				n = net(true)
-			}
-			ratios = append(ratios, float64(n)/float64(l))
-			if n < bestNet {
-				bestNet = n
-			}
-			if l < bestLocal {
-				bestLocal = l
-			}
-		}
-		sort.Float64s(ratios)
+		p := pairABBA(conns*netPipelineDepth, netLocksPerTxn, pairs, sc.dur/6, netBody(clients, lats), localBody(h.local))
 		var all []float64
 		for _, s := range lats {
 			all = append(all, s...)
 		}
 		sort.Float64s(all)
-		acquires := float64(conns*netPipelineDepth) * float64(iters) * float64(netLocksPerTxn)
 		rep.Results = append(rep.Results, netResult{
 			Connections:         conns,
-			NetAcquiresPerSec:   acquires / bestNet.Seconds(),
-			LocalAcquiresPerSec: acquires / bestLocal.Seconds(),
-			LocalOverNetRatio:   ratios[len(ratios)/2],
+			NetAcquiresPerSec:   p.aOps,
+			LocalAcquiresPerSec: p.bOps,
+			LocalOverNetRatio:   p.ratio,
 			NetP50Micros:        percentile(all, 0.50),
 			NetP99Micros:        percentile(all, 0.99),
 		})
-
 		for _, c := range clients {
 			c.Close()
 		}
@@ -280,25 +205,7 @@ func runNetBench(connCounts []int, dur time.Duration, quick bool) (*netBenchRepo
 	return rep, nil
 }
 
-// writeNetBench runs the benchmark and writes the JSON report to path.
-func writeNetBench(path string, connCounts []int, dur time.Duration, quick bool) (*netBenchReport, error) {
-	rep, err := runNetBench(connCounts, dur, quick)
-	if err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// printNetBench renders the report as a console table.
-func printNetBench(rep *netBenchReport) {
+func (rep *netBenchReport) print() {
 	tab := metrics.NewTable(
 		fmt.Sprintf("Network lock service vs in-process (GOMAXPROCS=%d, %d locks/txn, %d txns/conn pipelined, NOFOLLOW, loopback TCP)",
 			rep.GOMAXPROCS, rep.LocksPerTxn, rep.PipelineDepth),

@@ -24,9 +24,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -112,64 +110,13 @@ func stormBody(tx *txn.Txn, read, target store.Path) error {
 	return nil
 }
 
-// runStormBare runs the spin-restart side for roughly dur: each worker
-// draws targets from its deterministic stream and restarts immediately on
-// every abort. Returns committed transactions, total attempts, and the
-// elapsed wall time (including the drain of in-flight commits after the
-// deadline).
-func runStormBare(s *stormStack, workers int, dur time.Duration) (uint64, uint64, time.Duration) {
+// stormDrive runs workers goroutines over their deterministic request
+// streams, one do call per draw (do reports whether the transaction
+// committed), until dur elapses — or, when dur is zero, until each worker
+// has made txns draws. It returns the commits and the elapsed wall time,
+// including the drain of in-flight transactions after the deadline.
+func stormDrive(workers int, dur time.Duration, txns int, do func(read, target store.Path) bool) (uint64, time.Duration) {
 	hot, cold := stormPaths()
-	var commits, attempts atomic.Uint64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pick := stormPick{state: uint64(w + 1)}
-			for !stop.Load() {
-				r := pick.next()
-				target := hot
-				if r%1000 >= stormHotPermille {
-					target = cold[r%uint64(len(cold))]
-				}
-				read := cold[(r>>20)%uint64(len(cold))]
-				for {
-					attempts.Add(1)
-					tx := s.tm.Begin()
-					if err := stormBody(tx, read, target); err != nil {
-						tx.Abort()
-						continue
-					}
-					if err := tx.Commit(); err == nil {
-						commits.Add(1)
-						break
-					}
-				}
-			}
-		}(w)
-	}
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	return commits.Load(), attempts.Load(), time.Since(start)
-}
-
-// runStormKit runs the survival-kit side for roughly dur: identical
-// per-worker request streams, but each transaction goes through
-// RunWithRetry with capped-exponential backoff, and the manager sheds
-// Begins beyond a waiter depth of twice the core count. Returns committed
-// transactions, the retry collector, and elapsed wall time.
-func runStormKit(s *stormStack, workers int, dur time.Duration) (uint64, *obs.RetryCollector, time.Duration) {
-	hot, cold := stormPaths()
-	s.mgr.ConfigureAdmission(lock.AdmissionConfig{
-		MaxWaiters: 2 * runtime.GOMAXPROCS(0),
-		MaxDelay:   2 * time.Millisecond,
-		Mode:       lock.AdmitShed,
-	})
-	defer s.mgr.ConfigureAdmission(lock.AdmissionConfig{})
-	rc := obs.NewRetryCollector()
 	var commits atomic.Uint64
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -179,32 +126,73 @@ func runStormKit(s *stormStack, workers int, dur time.Duration) (uint64, *obs.Re
 		go func(w int) {
 			defer wg.Done()
 			pick := stormPick{state: uint64(w + 1)}
-			for !stop.Load() {
+			for n := 0; !stop.Load() && (dur > 0 || n < txns); n++ {
 				r := pick.next()
 				target := hot
 				if r%1000 >= stormHotPermille {
 					target = cold[r%uint64(len(cold))]
 				}
-				read := cold[(r>>20)%uint64(len(cold))]
-				err := s.tm.RunWithRetry(context.Background(), func(tx *txn.Txn) error {
-					return stormBody(tx, read, target)
-				},
-					txn.WithMaxAttempts(0),
-					txn.WithBackoff(resilience.CappedExponential{
-						Base: 100 * time.Microsecond,
-						Cap:  2 * time.Millisecond,
-					}),
-					txn.WithRetryObserver(rc))
-				if err == nil {
+				if do(cold[(r>>20)%uint64(len(cold))], target) {
 					commits.Add(1)
 				}
 			}
 		}(w)
 	}
-	time.Sleep(dur)
-	stop.Store(true)
+	if dur > 0 {
+		time.Sleep(dur)
+		stop.Store(true)
+	}
 	wg.Wait()
-	return commits.Load(), rc, time.Since(start)
+	return commits.Load(), time.Since(start)
+}
+
+// runStormBare runs the spin-restart side for roughly dur: every abort
+// restarts the transaction immediately. Returns commits, total attempts
+// and elapsed wall time.
+func runStormBare(s *stormStack, workers int, dur time.Duration) (uint64, uint64, time.Duration) {
+	var attempts atomic.Uint64
+	commits, elapsed := stormDrive(workers, dur, 0, func(read, target store.Path) bool {
+		for {
+			attempts.Add(1)
+			tx := s.tm.Begin()
+			if err := stormBody(tx, read, target); err != nil {
+				tx.Abort()
+				continue
+			}
+			if tx.Commit() == nil {
+				return true
+			}
+		}
+	})
+	return commits, attempts.Load(), elapsed
+}
+
+// stormRetry runs one transaction through RunWithRetry with unbounded
+// attempts and capped-exponential backoff, reporting attempts to rc.
+func stormRetry(s *stormStack, rc *obs.RetryCollector, backoff resilience.CappedExponential, read, target store.Path) bool {
+	return s.tm.RunWithRetry(context.Background(), func(tx *txn.Txn) error {
+		return stormBody(tx, read, target)
+	}, txn.WithMaxAttempts(0), txn.WithBackoff(backoff), txn.WithRetryObserver(rc)) == nil
+}
+
+// runStormKit runs the survival-kit side for roughly dur: identical
+// per-worker request streams, but each transaction goes through
+// RunWithRetry with capped-exponential backoff, and the manager sheds
+// Begins beyond a waiter depth of twice the core count. Returns committed
+// transactions, the retry collector, and elapsed wall time.
+func runStormKit(s *stormStack, workers int, dur time.Duration) (uint64, *obs.RetryCollector, time.Duration) {
+	s.mgr.ConfigureAdmission(lock.AdmissionConfig{
+		MaxWaiters: 2 * runtime.GOMAXPROCS(0),
+		MaxDelay:   2 * time.Millisecond,
+		Mode:       lock.AdmitShed,
+	})
+	defer s.mgr.ConfigureAdmission(lock.AdmissionConfig{})
+	rc := obs.NewRetryCollector()
+	backoff := resilience.CappedExponential{Base: 100 * time.Microsecond, Cap: 2 * time.Millisecond}
+	commits, elapsed := stormDrive(workers, dur, 0, func(read, target store.Path) bool {
+		return stormRetry(s, rc, backoff, read, target)
+	})
+	return commits, rc, elapsed
 }
 
 // stormResult is one worker-count row of BENCH_PR6.json.
@@ -263,38 +251,11 @@ func runStormChaos(workers, txns int) stormChaosResult {
 	chaos := resilience.NewChaos(cfg)
 	s.mgr.SetInjector(chaos)
 	defer s.mgr.SetInjector(nil)
-	hot, cold := stormPaths()
 	rc := obs.NewRetryCollector()
-	var failures atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pick := stormPick{state: uint64(w + 1)}
-			for c := 0; c < txns; c++ {
-				r := pick.next()
-				target := hot
-				if r%1000 >= stormHotPermille {
-					target = cold[r%uint64(len(cold))]
-				}
-				read := cold[(r>>20)%uint64(len(cold))]
-				err := s.tm.RunWithRetry(context.Background(), func(tx *txn.Txn) error {
-					return stormBody(tx, read, target)
-				},
-					txn.WithMaxAttempts(0),
-					txn.WithBackoff(resilience.CappedExponential{
-						Base: 50 * time.Microsecond,
-						Cap:  time.Millisecond,
-					}),
-					txn.WithRetryObserver(rc))
-				if err != nil {
-					failures.Add(1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	backoff := resilience.CappedExponential{Base: 50 * time.Microsecond, Cap: time.Millisecond}
+	commits, _ := stormDrive(workers, 0, txns, func(read, target store.Path) bool {
+		return stormRetry(s, rc, backoff, read, target)
+	})
 	cs := chaos.Stats()
 	snap := rc.Attempts()
 	res := stormChaosResult{
@@ -305,7 +266,7 @@ func runStormChaos(workers, txns int) stormChaosResult {
 		Workers:          workers,
 		TxnsPerWorker:    txns,
 		Commits:          snap.Commits,
-		Failures:         failures.Load(),
+		Failures:         uint64(workers*txns) - commits,
 		InjectedVictims:  cs.Victims,
 		InjectedTimeouts: cs.Timeouts,
 		InjectedDelays:   cs.Delays,
@@ -317,8 +278,10 @@ func runStormChaos(workers, txns int) stormChaosResult {
 
 // runStormBench runs the duration-bound goodput comparison at each worker
 // count (bare and kit back-to-back on fresh stacks, after a small warmup)
-// plus the work-bound chaos convergence phase.
-func runStormBench(workerCounts []int, dur time.Duration, chaosWorkers, chaosTxns int) *stormBenchReport {
+// plus the work-bound chaos convergence phase. Storm keeps its own
+// duration-bound goodput loop instead of the paired fixed-work timer: bare
+// spin-restart under livelock has no bounded time for a fixed amount of work.
+func runStormBench(sc scale) (report, error) {
 	rep := &stormBenchReport{
 		Benchmark: "stormbench",
 		Description: "hot-key write-storm goodput: bare abort-and-spin restart vs RunWithRetry " +
@@ -328,15 +291,14 @@ func runStormBench(workerCounts []int, dur time.Duration, chaosWorkers, chaosTxn
 		HotFraction: float64(stormHotPermille) / 1000,
 		Policy:      "waitdie",
 	}
-	for _, w := range workerCounts {
+	for _, w := range sc.workers {
 		// Warmup both sides briefly to settle the allocator and scheduler.
-		runStormBare(newStormStack(), w, dur/10)
-		runStormKit(newStormStack(), w, dur/10)
+		runStormBare(newStormStack(), w, sc.dur/10)
+		runStormKit(newStormStack(), w, sc.dur/10)
 
-		bareStack := newStormStack()
-		bareCommits, bareAttempts, bareDur := runStormBare(bareStack, w, dur)
+		bareCommits, bareAttempts, bareDur := runStormBare(newStormStack(), w, sc.dur)
 		kitStack := newStormStack()
-		kitCommits, rc, kitDur := runStormKit(kitStack, w, dur)
+		kitCommits, rc, kitDur := runStormKit(kitStack, w, sc.dur)
 
 		kitStats := kitStack.mgr.Stats()
 		bareGood := float64(bareCommits) / bareDur.Seconds()
@@ -358,26 +320,15 @@ func runStormBench(workerCounts []int, dur time.Duration, chaosWorkers, chaosTxn
 			KitAdmitDelays:        kitStats.AdmitDelays,
 		})
 	}
-	rep.Chaos = runStormChaos(chaosWorkers, chaosTxns)
-	return rep
-}
-
-// writeStormBench runs the benchmark and writes the JSON report to path.
-func writeStormBench(path string, workerCounts []int, dur time.Duration, chaosWorkers, chaosTxns int) (*stormBenchReport, error) {
-	rep := runStormBench(workerCounts, dur, chaosWorkers, chaosTxns)
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return nil, err
+	if sc.quick {
+		rep.Chaos = runStormChaos(4, 10)
+	} else {
+		rep.Chaos = runStormChaos(8, 25)
 	}
 	return rep, nil
 }
 
-// printStormBench renders the report as console tables.
-func printStormBench(rep *stormBenchReport) {
+func (rep *stormBenchReport) print() {
 	tab := metrics.NewTable(
 		fmt.Sprintf("Write-storm goodput, %0.f%% hot key (GOMAXPROCS=%d, wait-die)",
 			rep.HotFraction*100, rep.GOMAXPROCS),

@@ -169,7 +169,7 @@ func NewNamer(cat *schema.Catalog, coalesceBLUs bool) *Namer {
 
 // DisableCache turns the name cache off: every Resource/Classify call
 // recomputes from scratch, as the pre-cache implementation did. It exists as
-// the benchmark baseline (lockbench -hotbench) and must be called before the
+// the benchmark baseline (lockbench -bench hot) and must be called before the
 // namer is shared between goroutines.
 func (nm *Namer) DisableCache() { nm.nocache = true }
 

@@ -105,14 +105,14 @@ func (sess *session) run() {
 		sess.s.framesRead.Add(1)
 		sess.touch()
 		if f.Type == wire.TPing {
-			sess.reply(f.ReqID, wire.TPong, wire.Pong{Lease: sess.s.opts.Lease}.Encode())
+			sess.reply(&request{id: f.ReqID}, wire.TPong, wire.Pong{Lease: sess.s.opts.Lease}.Encode())
 			continue
 		}
 		if f.Type == wire.TCommit || f.Type == wire.TAbort {
 			sess.reqWG.Add(1)
 			go func(f wire.Frame) {
 				defer sess.reqWG.Done()
-				sess.dispatch(f)
+				sess.dispatch(&request{id: f.ReqID}, f)
 			}(f)
 			continue
 		}
@@ -120,7 +120,7 @@ func (sess *session) run() {
 		case sess.inflight <- struct{}{}:
 		default:
 			sess.s.busyRefusals.Add(1)
-			sess.replyErr(f.ReqID, wire.ErrPayload{
+			sess.replyErr(&request{id: f.ReqID}, wire.ErrPayload{
 				Cause: wire.CauseBusy, Retryable: true,
 				Message: "session exceeded max-inflight requests",
 			})
@@ -133,8 +133,9 @@ func (sess *session) run() {
 		// means one worker is committed to receive exactly one more frame.
 		// A lost claim spawns a worker — unless the pool is already at the
 		// inflight cap, in which case pigeonhole guarantees pickup: every
-		// enqueued frame holds a slot, so with cap-many workers at least
-		// one is not blocked in dispatch and will return to receive.
+		// enqueued frame holds a slot until its reply, so with cap-many
+		// workers at least one is not blocked in a handler and will return
+		// to receive.
 		if sess.idle.Add(-1) < 0 {
 			sess.idle.Add(1)
 			if int(sess.workers.Load()) < cap(sess.inflight) {
@@ -154,8 +155,11 @@ func (sess *session) worker() {
 	for {
 		select {
 		case f := <-sess.reqCh:
-			sess.dispatch(f)
-			<-sess.inflight
+			r := request{id: f.ReqID, slot: true}
+			sess.dispatch(&r, f)
+			if r.slot {
+				<-sess.inflight
+			}
 			sess.reqWG.Done()
 			sess.idle.Add(1)
 		case <-sess.ctx.Done():
@@ -164,99 +168,112 @@ func (sess *session) worker() {
 	}
 }
 
+// request is one request frame being answered. slot is set while the
+// request holds a max-inflight slot; reply gives the slot back before it
+// writes, so a client that sends its next request only after reading the
+// reply never finds its previous request still counted against the cap.
+type request struct {
+	id   uint64
+	slot bool
+}
+
 // reply writes one reply frame; writes after close are dropped (the peer
 // is gone and teardown owns the conn). A write error is session-fatal:
 // the connection is cut so the read loop stops accepting requests whose
 // outcomes the client could never hear, and teardown aborts the
 // session's transactions promptly instead of waiting for the peer to
 // notice the broken half on its own.
-func (sess *session) reply(reqID uint64, typ byte, payload []byte) {
+func (sess *session) reply(r *request, typ byte, payload []byte) {
+	if r.slot {
+		r.slot = false
+		<-sess.inflight
+	}
 	if sess.wclosed.Load() {
 		return
 	}
-	if err := sess.fw.WriteFrame(typ, reqID, payload); err != nil {
+	if err := sess.fw.WriteFrame(typ, r.id, payload); err != nil {
 		sess.close()
 		return
 	}
 	sess.s.framesWritten.Add(1)
 }
 
-func (sess *session) replyErr(reqID uint64, p wire.ErrPayload) {
+func (sess *session) replyErr(r *request, p wire.ErrPayload) {
 	sess.s.errorReplies.Add(1)
-	sess.reply(reqID, wire.TErr, p.Encode())
+	sess.reply(r, wire.TErr, p.Encode())
 }
 
 // replyOutcome converts a handler result into TOK or TErr.
-func (sess *session) replyOutcome(reqID uint64, err error) {
+func (sess *session) replyOutcome(r *request, err error) {
 	if err == nil {
-		sess.reply(reqID, wire.TOK, nil)
+		sess.reply(r, wire.TOK, nil)
 		return
 	}
 	if errors.Is(err, txn.ErrNotActive) {
 		// Map the txn layer's sentinel onto the wire vocabulary.
-		sess.replyErr(reqID, wire.ErrPayload{
+		sess.replyErr(r, wire.ErrPayload{
 			Cause: wire.CauseNotActive, Message: err.Error(),
 		})
 		return
 	}
-	sess.replyErr(reqID, wire.PayloadOf(err))
+	sess.replyErr(r, wire.PayloadOf(err))
 }
 
 // dispatch decodes and executes one request. A grammar violation is fatal
 // to the session: the reply says so and the connection closes (framing
 // state after a bad payload is untrustworthy).
-func (sess *session) dispatch(f wire.Frame) {
+func (sess *session) dispatch(r *request, f wire.Frame) {
 	switch f.Type {
 	case wire.TBegin:
 		m, err := wire.DecodeBeginReq(f.Payload)
 		if err != nil {
-			sess.protocolViolation(f.ReqID, err)
+			sess.protocolViolation(r, err)
 			return
 		}
-		sess.handleBegin(f.ReqID, m)
+		sess.handleBegin(r, m)
 	case wire.TLock, wire.TLockPath:
 		m, err := wire.DecodeLockReq(f.Payload)
 		if err != nil {
-			sess.protocolViolation(f.ReqID, err)
+			sess.protocolViolation(r, err)
 			return
 		}
-		sess.handleLock(f.ReqID, m)
+		sess.handleLock(r, m)
 	case wire.TDowngrade:
 		m, err := wire.DecodeDowngradeReq(f.Payload)
 		if err != nil {
-			sess.protocolViolation(f.ReqID, err)
+			sess.protocolViolation(r, err)
 			return
 		}
-		sess.handleDowngrade(f.ReqID, m)
+		sess.handleDowngrade(r, m)
 	case wire.TRelease:
 		m, err := wire.DecodeReleaseReq(f.Payload)
 		if err != nil {
-			sess.protocolViolation(f.ReqID, err)
+			sess.protocolViolation(r, err)
 			return
 		}
-		sess.handleRelease(f.ReqID, m)
+		sess.handleRelease(r, m)
 	case wire.TCommit, wire.TAbort:
 		m, err := wire.DecodeTxnReq(f.Payload)
 		if err != nil {
-			sess.protocolViolation(f.ReqID, err)
+			sess.protocolViolation(r, err)
 			return
 		}
-		sess.handleFinish(f.ReqID, m, f.Type == wire.TCommit)
+		sess.handleFinish(r, m, f.Type == wire.TCommit)
 	default:
-		sess.protocolViolation(f.ReqID, errors.New("unknown request type "+wire.TypeName(f.Type)))
+		sess.protocolViolation(r, errors.New("unknown request type "+wire.TypeName(f.Type)))
 	}
 }
 
-func (sess *session) protocolViolation(reqID uint64, err error) {
-	sess.replyErr(reqID, wire.ErrPayload{
+func (sess *session) protocolViolation(r *request, err error) {
+	sess.replyErr(r, wire.ErrPayload{
 		Cause: wire.CauseProtocol, Message: err.Error(),
 	})
 	_ = sess.conn.Close() // unblocks run(); teardown aborts the txns
 }
 
-func (sess *session) handleBegin(reqID uint64, m wire.BeginReq) {
+func (sess *session) handleBegin(r *request, m wire.BeginReq) {
 	if sess.s.Draining() {
-		sess.replyErr(reqID, wire.ErrPayload{
+		sess.replyErr(r, wire.ErrPayload{
 			Cause: wire.CauseDraining, Retryable: true,
 			Message: "server draining: no new transactions",
 		})
@@ -270,7 +287,7 @@ func (sess *session) handleBegin(reqID uint64, m wire.BeginReq) {
 		var err error
 		t, err = sess.s.tm.BeginCtx(sess.ctx)
 		if err != nil {
-			sess.replyErr(reqID, wire.PayloadOf(err))
+			sess.replyErr(r, wire.PayloadOf(err))
 			return
 		}
 	}
@@ -280,12 +297,12 @@ func (sess *session) handleBegin(reqID uint64, m wire.BeginReq) {
 		// Lost the race with teardown: don't leak the transaction.
 		sess.mu.Unlock()
 		t.Abort()
-		sess.replyErr(reqID, wire.ErrPayload{Cause: wire.CauseExpired, Message: "session expired"})
+		sess.replyErr(r, wire.ErrPayload{Cause: wire.CauseExpired, Message: "session expired"})
 		return
 	}
 	sess.txns[uint64(t.ID())] = st
 	sess.mu.Unlock()
-	sess.reply(reqID, wire.TTxn, wire.TxnReply{Txn: uint64(t.ID())}.Encode())
+	sess.reply(r, wire.TTxn, wire.TxnReply{Txn: uint64(t.ID())}.Encode())
 }
 
 // lookup resolves a wire txn id to this session's transaction. Ids from
@@ -297,10 +314,10 @@ func (sess *session) lookup(id uint64) *sessTxn {
 	return sess.txns[id]
 }
 
-func (sess *session) handleLock(reqID uint64, m wire.LockReq) {
+func (sess *session) handleLock(r *request, m wire.LockReq) {
 	st := sess.lookup(m.Txn)
 	if st == nil {
-		sess.replyErr(reqID, wire.ErrPayload{
+		sess.replyErr(r, wire.ErrPayload{
 			Cause: wire.CauseNotActive, Txn: m.Txn,
 			Message: "transaction not active in this session",
 		})
@@ -316,13 +333,13 @@ func (sess *session) handleLock(reqID uint64, m wire.LockReq) {
 	st.mu.Lock()
 	err := st.t.Lock(sess.ctx, m.Node.Node(), m.Mode, opts...)
 	st.mu.Unlock()
-	sess.replyOutcome(reqID, err)
+	sess.replyOutcome(r, err)
 }
 
-func (sess *session) handleDowngrade(reqID uint64, m wire.DowngradeReq) {
+func (sess *session) handleDowngrade(r *request, m wire.DowngradeReq) {
 	st := sess.lookup(m.Txn)
 	if st == nil {
-		sess.replyErr(reqID, wire.ErrPayload{
+		sess.replyErr(r, wire.ErrPayload{
 			Cause: wire.CauseNotActive, Txn: m.Txn,
 			Message: "transaction not active in this session",
 		})
@@ -335,13 +352,13 @@ func (sess *session) handleDowngrade(reqID uint64, m wire.DowngradeReq) {
 	st.mu.Lock()
 	err := st.t.DeEscalate(m.Node.Node(), keep)
 	st.mu.Unlock()
-	sess.replyOutcome(reqID, err)
+	sess.replyOutcome(r, err)
 }
 
-func (sess *session) handleRelease(reqID uint64, m wire.ReleaseReq) {
+func (sess *session) handleRelease(r *request, m wire.ReleaseReq) {
 	st := sess.lookup(m.Txn)
 	if st == nil {
-		sess.replyErr(reqID, wire.ErrPayload{
+		sess.replyErr(r, wire.ErrPayload{
 			Cause: wire.CauseNotActive, Txn: m.Txn,
 			Message: "transaction not active in this session",
 		})
@@ -350,16 +367,16 @@ func (sess *session) handleRelease(reqID uint64, m wire.ReleaseReq) {
 	st.mu.Lock()
 	err := st.t.Unlock(m.Node.Node())
 	st.mu.Unlock()
-	sess.replyOutcome(reqID, err)
+	sess.replyOutcome(r, err)
 }
 
-func (sess *session) handleFinish(reqID uint64, m wire.TxnReq, commit bool) {
+func (sess *session) handleFinish(r *request, m wire.TxnReq, commit bool) {
 	sess.mu.Lock()
 	st := sess.txns[m.Txn]
 	delete(sess.txns, m.Txn)
 	sess.mu.Unlock()
 	if st == nil {
-		sess.replyErr(reqID, wire.ErrPayload{
+		sess.replyErr(r, wire.ErrPayload{
 			Cause: wire.CauseNotActive, Txn: m.Txn,
 			Message: "transaction not active in this session",
 		})
@@ -373,13 +390,13 @@ func (sess *session) handleFinish(reqID uint64, m wire.TxnReq, commit bool) {
 		st.t.Abort()
 	}
 	st.mu.Unlock()
-	sess.replyOutcome(reqID, err)
+	sess.replyOutcome(r, err)
 }
 
 // expire enforces a missed lease: notify the client (unsolicited TErr on
 // reqid 0), cut the connection, and let teardown abort the transactions.
 func (sess *session) expire() {
-	sess.replyErr(0, wire.ErrPayload{
+	sess.replyErr(&request{}, wire.ErrPayload{
 		Cause:   wire.CauseExpired,
 		Message: "session lease expired; transactions aborted",
 	})

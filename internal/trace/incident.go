@@ -77,7 +77,12 @@ func NewIncidentWriter(dir string, rec *Recorder, mgr *lock.Manager, opts Incide
 }
 
 // Record is the lock.EventSink implementation: deadlock-victim and
-// acquire-timeout events trigger an automatic dump.
+// acquire-timeout events trigger an automatic dump. The dump is written
+// synchronously, before Record returns; since the manager delivers each
+// event to its sinks in attach order, a sink attached after this writer
+// observes an event only once its incident is in Incidents. A victim's
+// AcquireCtx may return ErrDeadlock before that: the detector wakes the
+// victim before it delivers the victim event.
 func (iw *IncidentWriter) Record(e lock.Event) {
 	if e.Kind != "victim" && e.Kind != "timeout" {
 		return

@@ -130,11 +130,29 @@ func TestIncidentAutoOnTimeout(t *testing.T) {
 	m.ReleaseAll(1)
 }
 
+// sinkFunc adapts a function to lock.EventSink.
+type sinkFunc func(lock.Event)
+
+func (f sinkFunc) Record(e lock.Event) { f(e) }
+
 func TestIncidentAutoOnDeadlockVictim(t *testing.T) {
 	m := lock.NewManager(lock.Options{})
 	rec := NewRecorder(Options{ShardOf: m.ShardOf})
 	iw := NewIncidentWriter(t.TempDir(), rec, m, IncidentOptions{})
 	m.AttachSink(iw)
+	// The detector may wake the victim before it delivers the victim event,
+	// so AcquireCtx can return ErrDeadlock before the dump exists. Sinks are
+	// delivered in attach order: once this later sink sees the victim event,
+	// iw.Record has returned.
+	recorded := make(chan struct{}, 1)
+	m.AttachSink(sinkFunc(func(e lock.Event) {
+		if e.Kind == "victim" {
+			select {
+			case recorded <- struct{}{}:
+			default:
+			}
+		}
+	}))
 
 	if err := m.AcquireCtx(context.Background(), 1, "a", lock.X); err != nil {
 		t.Fatal(err)
@@ -160,6 +178,11 @@ func TestIncidentAutoOnDeadlockVictim(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.ReleaseAll(1)
+	select {
+	case <-recorded:
+	case <-time.After(10 * time.Second):
+		t.Fatal("victim event never delivered to the sinks")
+	}
 
 	infos := iw.Incidents()
 	if len(infos) != 1 {

@@ -359,6 +359,9 @@ func TestTransferConservationUnderChaos(t *testing.T) {
 	if cs := chaos.Stats(); cs.Victims+cs.Timeouts == 0 {
 		t.Error("chaos injected no faults — the retried histories tested nothing")
 	}
+	// The final audit runs without retries, so it must not draw an injected
+	// fault itself.
+	lm.SetInjector(nil)
 	final := mgr.Begin()
 	if err := final.LockPath(nil, store.P("accounts"), lock.S); err != nil {
 		t.Fatal(err)
