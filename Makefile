@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench benchreport bench-smoke healthmon-smoke journal-smoke benchdiff nodeprecated doc-lint drift-check obs-demo trace-demo figures clean
+.PHONY: ci fmt vet build test race bench benchreport bench-smoke bench-e2e-smoke healthmon-smoke journal-smoke benchdiff nodeprecated doc-lint drift-check obs-demo trace-demo figures clean
 
 # ci is the gate every change must pass: formatting, vet, the
 # no-deprecated-wrappers grep, the godoc and docs-drift lints, build, the
 # full test suite under the race detector (the lock manager and protocol
 # are concurrent; -race is not optional here), the end-to-end
 # incident-dump demo, the lockbench smoke gate (fast-path,
-# contention-survival, grant-path and network scenarios), the
-# health-monitor smoke gate, and the journal-forensics smoke gate.
-ci: fmt vet nodeprecated doc-lint drift-check build race trace-demo bench-smoke healthmon-smoke journal-smoke
+# contention-survival, grant-path and network scenarios), the colockbench
+# end-to-end smoke gate, the health-monitor smoke gate, and the
+# journal-forensics smoke gate.
+ci: fmt vet nodeprecated doc-lint drift-check build race trace-demo bench-smoke bench-e2e-smoke healthmon-smoke journal-smoke
 
 # fmt fails if any file needs gofmt, listing the offenders.
 fmt:
@@ -60,6 +61,22 @@ bench-smoke:
 	done && \
 	echo "bench-smoke: hot, storm, grant and net reports pass their gates" && \
 	rm -rf "$$dir"
+
+# bench-e2e-smoke runs the colockbench end-to-end benchmark for two seconds
+# on remote-read (untraced) and on local-query (traced, so its
+# conflict-serializability check runs over the protocol's cached entry
+# points), and fails unless each run's last line reports "correct":true and
+# "failed":0.
+bench-e2e-smoke:
+	@for w in "remote-read 0" "local-query 1"; do \
+		set -- $$w; \
+		out=$$(bash colockbench/run.sh --workload $$1 --seconds 2 --trace $$2) || \
+			{ echo "bench-e2e-smoke: $$1 run failed"; exit 1; }; \
+		last=$$(printf '%s\n' "$$out" | tail -1); \
+		case "$$last" in *'"correct":true'*'"failed":0,'*) ;; \
+			*) echo "bench-e2e-smoke: $$1: $$last"; exit 1 ;; esac; \
+	done && \
+	echo "bench-e2e-smoke: remote-read and local-query are correct with no failed operations"
 
 # healthmon-smoke runs a scripted colockshell session that storms a hot key
 # and dumps the /health document with `.health dump`, then asserts, via the

@@ -588,7 +588,22 @@ func (s *shell) forceDeadlock() {
 	if errB == nil {
 		b.Abort()
 	}
+	s.awaitVictimIncident(a.ID(), b.ID())
 	s.showIncidents()
+}
+
+// awaitVictimIncident waits, for at most five seconds, until the incident
+// writer lists a victim incident of txn a or b. The detector wakes the
+// victim before it delivers the victim event, so the dump can land after
+// the victim's request has already returned.
+func (s *shell) awaitVictimIncident(a, b lock.TxnID) {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, in := range s.iw.Incidents() {
+			if in.Reason == "victim" && (in.Txn == a || in.Txn == b) {
+				return
+			}
+		}
+	}
 }
 
 func (s *shell) showMetrics() {
@@ -627,6 +642,7 @@ func (s *shell) showMetrics() {
 	rules := metrics.NewTable("Protocol rule applications", "rule", "count")
 	rules.Addf("requests", ps.Requests)
 	rules.Addf("upward locks (1-4, order 5)", ps.UpwardLocks)
+	rules.Addf("entry-point scans (3/4)", ps.EntryPointScans)
 	rules.Addf("downward propagations (3/4)", ps.DownwardPropagations)
 	rules.Addf("rule 4' weakened to S", ps.Rule4PrimeWeakened)
 	rules.Addf("memo hits", ps.MemoHits)

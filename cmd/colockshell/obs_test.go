@@ -23,6 +23,7 @@ func TestShellMetrics(t *testing.T) {
 		"Lock-manager counters",
 		"requests",
 		"Protocol rule applications",
+		"entry-point scans (3/4)",
 		"downward propagations (3/4)",
 		"rule 4' weakened to S",
 		"Latencies by op, mode and unit kind",

@@ -3,9 +3,9 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"colock/internal/lock"
 	"colock/internal/trace"
@@ -83,41 +83,23 @@ func TestShellForceTimeout(t *testing.T) {
 	}
 }
 
-// sinkFunc adapts a function to lock.EventSink.
-type sinkFunc func(lock.Event)
-
-func (f sinkFunc) Record(e lock.Event) { f(e) }
-
 // .forcedeadlock must pick a victim, dump an incident, and refuse to run
 // under -deadlock none.
 func TestShellForceDeadlock(t *testing.T) {
 	s, buf := newTestShellPolicy(t, false, lock.PolicyDetect)
-	// The detector may wake the victim before it delivers the victim event,
-	// so the script can finish before the incident is written. Sinks are
-	// delivered in attach order: once this sink, attached after the shell's
-	// incident writer, sees the victim event, the dump exists.
-	recorded := make(chan struct{}, 1)
-	s.proto.Manager().AttachSink(sinkFunc(func(e lock.Event) {
-		if e.Kind == "victim" {
-			select {
-			case recorded <- struct{}{}:
-			default:
-			}
-		}
-	}))
 	runScript(t, s, `.forcedeadlock`, `.quit`)
 	out := buf.String()
 	if !strings.Contains(out, "deadlock") {
 		t.Fatalf("no deadlock reported:\n%s", out)
 	}
-	select {
-	case <-recorded:
-	case <-time.After(10 * time.Second):
-		t.Fatal("victim event never delivered to the sinks")
-	}
+	// .forcedeadlock waits for the victim's dump before listing incidents,
+	// so the printed list already holds it.
 	infos := s.iw.Incidents()
 	if len(infos) != 1 || infos[0].Reason != "victim" {
 		t.Fatalf("incidents = %+v, want one victim", infos)
+	}
+	if line := fmt.Sprintf("#%d %-8s txn %-3d", infos[0].Seq, "victim", infos[0].Txn); !strings.Contains(out, line) {
+		t.Fatalf("printed incident list lacks %q:\n%s", line, out)
 	}
 	if _, err := trace.ParseIncidentFile(infos[0].Path); err != nil {
 		t.Fatalf("incident file does not parse: %v", err)

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"colock/internal/lock"
 	"colock/internal/schema"
@@ -153,6 +154,18 @@ type nameEntry struct {
 	// relation exists but whose shape is invalid; Classify returns it, and
 	// Resource does too when coalescing needed the classification.
 	infoErr error
+	// eps caches the entry points below this node for downward
+	// propagation (Protocol.entryPoints); nil until the first walk.
+	eps atomic.Pointer[epCache]
+}
+
+// epCache is one entry-point walk's result, resolved to name entries and
+// stamped with the store it walked and that store's reference generation
+// read before the walk. It is immutable once published.
+type epCache struct {
+	st      *store.Store
+	gen     uint64
+	entries []*nameEntry
 }
 
 // NewNamer returns a Namer over the catalog. coalesceBLUs selects the
@@ -203,9 +216,6 @@ func segsEqual(a []string, b store.Path) bool {
 // entryFor returns the cached naming of p, computing and inserting it on
 // first use. Unknown-relation errors are returned without caching.
 func (nm *Namer) entryFor(p store.Path) (*nameEntry, error) {
-	if len(p) == 0 {
-		return nil, fmt.Errorf("core: empty path")
-	}
 	h := pathHash(p)
 	nm.mu.RLock()
 	for _, e := range nm.paths[h] {
@@ -234,6 +244,9 @@ func (nm *Namer) entryFor(p store.Path) (*nameEntry, error) {
 // buildEntry computes a nameEntry from the schema (the slow path, once per
 // distinct path).
 func (nm *Namer) buildEntry(p store.Path) (*nameEntry, error) {
+	if len(p) == 0 {
+		return nil, fmt.Errorf("core: empty path")
+	}
 	rel := nm.cat.Relation(p.Relation())
 	if rel == nil {
 		return nil, fmt.Errorf("core: unknown relation %q", p.Relation())
@@ -278,37 +291,39 @@ func (nm *Namer) segRes(seg string) lock.Resource {
 	return r
 }
 
+// entryOf resolves a relation- or data-level node to its naming: the cached
+// entry, or, with the cache disabled, a fresh one built for this call.
+// Database and segment nodes have no entry (nil).
+func (nm *Namer) entryOf(n Node) (*nameEntry, error) {
+	switch n.Level {
+	case LevelDatabase, LevelSegment:
+		return nil, nil
+	}
+	if nm.nocache {
+		return nm.buildEntry(n.Path)
+	}
+	return nm.entryFor(n.Path)
+}
+
 // chain returns the resource name of n together with its ancestor resources
 // in root-to-leaf order — the protocol's per-lock naming, served from the
 // cache with zero allocations after the first visit. The returned slice is
 // shared and must not be modified.
 func (nm *Namer) chain(n Node) (lock.Resource, []lock.Resource, error) {
+	e, err := nm.entryOf(n)
+	if err != nil {
+		return "", nil, err
+	}
+	return nm.chainOf(n, e)
+}
+
+// chainOf is chain for a node already resolved by entryOf.
+func (nm *Namer) chainOf(n Node, e *nameEntry) (lock.Resource, []lock.Resource, error) {
 	switch n.Level {
 	case LevelDatabase:
 		return nm.dbRes, nil, nil
 	case LevelSegment:
 		return nm.segRes(n.Segment), nm.dbAnc, nil
-	}
-	if nm.nocache {
-		res, err := nm.Resource(n)
-		if err != nil {
-			return "", nil, err
-		}
-		ancNodes, err := nm.Ancestors(n)
-		if err != nil {
-			return "", nil, err
-		}
-		anc := make([]lock.Resource, len(ancNodes))
-		for i, a := range ancNodes {
-			if anc[i], err = nm.Resource(a); err != nil {
-				return "", nil, err
-			}
-		}
-		return res, anc, nil
-	}
-	e, err := nm.entryFor(n.Path)
-	if err != nil {
-		return "", nil, err
 	}
 	if nm.coalesceBLUs && len(n.Path) >= 3 && e.infoErr != nil {
 		return "", nil, e.infoErr

@@ -207,20 +207,23 @@ func (p *Protocol) lockOpts(ctx context.Context, txn lock.TxnID, n Node, mode lo
 	default:
 		return fmt.Errorf("core: protocol mode must be IS, IX, S or X, got %v", mode)
 	}
-	if n.Level == LevelData && len(n.Path) >= 2 {
+	// Resolve the node once: its name entry serves validation, the resource,
+	// the ancestor chain and the entry-point cache.
+	e, err := p.nm.entryOf(n)
+	if err != nil {
+		return err
+	}
+	if n.Level == LevelData && len(n.Path) >= 2 && e.infoErr != nil {
 		// Validate the path against the schema; instances need not exist
 		// (inserts lock their future resource), but the attribute shape
 		// must be real.
-		if _, err := p.nm.Classify(n.Path); err != nil {
-			return err
-		}
+		return e.infoErr
 	}
-	// Root span: one per sampled user-level lock call. The sampling decision
-	// is made before naming the resource, so sampled-out calls skip even
-	// that; children ride on the root's decision (nil handle = inert).
+	// Root span: one per sampled user-level lock call; children ride on the
+	// root's decision (nil handle = inert).
 	var sp *trace.SpanHandle
 	if p.tr.Sample() {
-		if res, rerr := p.nm.Resource(n); rerr == nil {
+		if res, _, rerr := p.nm.chainOf(n, e); rerr == nil {
 			sp = p.tr.Start(txn, "lock", res, mode)
 			defer func() { sp.End(err) }()
 		}
@@ -239,15 +242,17 @@ func (p *Protocol) lockOpts(ctx context.Context, txn lock.TxnID, n Node, mode lo
 	if p.gcache != nil {
 		tg = p.gcache.get(txn)
 	}
-	return p.lockRec(ctx, txn, n, mode, durable, noFollow, timeout, requested, tg, sp)
+	return p.lockRec(ctx, txn, n, e, mode, durable, noFollow, timeout, requested, tg, sp)
 }
 
 var requestedPool = sync.Pool{
 	New: func() any { return make(map[lock.Resource]lock.Mode, 16) },
 }
 
-func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode lock.Mode, durable, noFollow bool, timeout time.Duration, requested map[lock.Resource]lock.Mode, tg *txnGrants, sp *trace.SpanHandle) error {
-	res, anc, err := p.nm.chain(n)
+// lockRec runs the protocol for node n, already resolved to its name entry
+// e by Namer.entryOf.
+func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, e *nameEntry, mode lock.Mode, durable, noFollow bool, timeout time.Duration, requested map[lock.Resource]lock.Mode, tg *txnGrants, sp *trace.SpanHandle) error {
+	res, anc, err := p.nm.chainOf(n, e)
 	if err != nil {
 		return err
 	}
@@ -315,15 +320,14 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 	// it. Downward propagation crosses superunit boundaries and recurses,
 	// because common data may again contain common data.
 	if follow {
-		p.counters.entryScans.Add(1)
-		entries, err := EntryPointsUnder(p.st, p.nm, n)
+		entries, err := p.entryPoints(n, e)
 		if err != nil {
 			return err
 		}
 		for _, ep := range entries {
 			em := mode
 			kind := "downward"
-			if mode == lock.X && p.rule4Prime && !p.auth.CanModify(txn, ep.Relation()) {
+			if mode == lock.X && p.rule4Prime && !p.auth.CanModify(txn, ep.path[0]) {
 				// Rule 4′: non-modifiable inner units are only S-locked.
 				em = lock.S
 				kind = "downward-rule4prime"
@@ -334,11 +338,9 @@ func (p *Protocol) lockRec(ctx context.Context, txn lock.TxnID, n Node, mode loc
 			// spans, so the tree mirrors the propagation structure.
 			next := sp
 			if sp != nil {
-				if eres, rerr := p.nm.Resource(DataNode(ep)); rerr == nil {
-					next = sp.Child(kind, eres, em)
-				}
+				next = sp.Child(kind, ep.res, em)
 			}
-			err := p.lockRec(ctx, txn, DataNode(ep), em, durable, noFollow, timeout, requested, tg, next)
+			err := p.lockRec(ctx, txn, DataNode(ep.path), ep, em, durable, noFollow, timeout, requested, tg, next)
 			if next != sp {
 				next.End(err)
 			}

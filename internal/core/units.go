@@ -222,8 +222,13 @@ func EntryPointsUnder(st *store.Store, nm *Namer, n Node) ([]store.Path, error) 
 		}
 		refs = rs
 	}
-	seen := make(map[string]bool)
-	var out []store.Path
+	// Sort by the rendered path, computed once per reference, then drop
+	// adjacent duplicates.
+	type keyed struct {
+		key string
+		p   store.Path
+	}
+	ks := make([]keyed, 0, len(refs))
 	for _, r := range refs {
 		p := store.P(r.Target.Relation, r.Target.Key)
 		// Targets inside the requested node's own subtree are already
@@ -232,13 +237,50 @@ func EntryPointsUnder(st *store.Store, nm *Namer, n Node) ([]store.Path, error) 
 		if (n.Level == LevelRelation || n.Level == LevelData) && p.HasPrefix(n.Path) {
 			continue
 		}
-		if k := p.String(); !seen[k] {
-			seen[k] = true
-			out = append(out, p)
+		ks = append(ks, keyed{p.String(), p})
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	var out []store.Path
+	for i, k := range ks {
+		if i == 0 || k.key != ks[i-1].key {
+			out = append(out, k.p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out, nil
+}
+
+// entryPoints returns EntryPointsUnder(n), resolved to name entries. For a
+// data node with the name cache on, the result is cached on n's entry and
+// reused while the store's reference generation is unchanged: the store
+// bumps it under its write lock whenever a reference may appear or vanish,
+// and the generation is read before the walk, so a mutation racing the walk
+// can only leave the stamp stale, never wrong. The stamp names the store
+// too, because one Namer may serve protocols over different stores.
+// Database, segment and relation nodes always walk.
+func (p *Protocol) entryPoints(n Node, e *nameEntry) ([]*nameEntry, error) {
+	cacheable := n.Level == LevelData && !p.nm.nocache
+	var gen uint64
+	if cacheable {
+		gen = p.st.RefGen()
+		if c := e.eps.Load(); c != nil && c.st == p.st && c.gen == gen {
+			return c.entries, nil
+		}
+	}
+	p.counters.entryScans.Add(1)
+	paths, err := EntryPointsUnder(p.st, p.nm, n)
+	if err != nil {
+		return nil, err
+	}
+	entries := make([]*nameEntry, len(paths))
+	for i, ep := range paths {
+		if entries[i], err = p.nm.entryOf(DataNode(ep)); err != nil {
+			return nil, err
+		}
+	}
+	if cacheable {
+		e.eps.Store(&epCache{st: p.st, gen: gen, entries: entries})
+	}
+	return entries, nil
 }
 
 func relationRefs(st *store.Store, relation string) ([]store.RefAt, error) {

@@ -191,10 +191,12 @@ func (s *Store) RestoreData(data []byte) error {
 	s.mu.Lock()
 	old := s.rels
 	s.rels = fresh
+	s.refGen.Add(1)
 	s.mu.Unlock()
 	if err := s.CheckIntegrity(); err != nil {
 		s.mu.Lock()
 		s.rels = old
+		s.refGen.Add(1)
 		s.mu.Unlock()
 		return fmt.Errorf("store: restore: %w", err)
 	}

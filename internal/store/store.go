@@ -24,6 +24,13 @@ type Store struct {
 	// The traditional DAG protocol must pay this cost to X-lock shared
 	// data (§3.2.2); the counter makes the cost measurable in E3.
 	scans atomic.Uint64
+
+	// refGen is the reference generation: every mutation that can add or
+	// remove a Ref bumps it while holding mu for writing. A caller that
+	// reads RefGen before a Refs walk and finds it unchanged later knows
+	// the walk's result still holds. Plain attribute updates leave it
+	// alone.
+	refGen atomic.Uint64
 }
 
 // New returns an empty store over the given (validated) catalog.
@@ -63,6 +70,7 @@ func (s *Store) Insert(relation, key string, obj *Tuple) error {
 		return fmt.Errorf("store: duplicate object %q/%q", relation, key)
 	}
 	s.rels[relation][key] = obj
+	s.refGen.Add(1)
 	return nil
 }
 
@@ -86,7 +94,10 @@ func (s *Store) Delete(relation, key string) *Tuple {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	obj := s.rels[relation][key]
-	delete(s.rels[relation], key)
+	if obj != nil {
+		delete(s.rels[relation], key)
+		s.refGen.Add(1)
+	}
 	return obj
 }
 
@@ -180,6 +191,14 @@ func (s *Store) SetAtomic(p Path, v Value) (Value, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	old, err := s.setAtomicLocked(p, v)
+	if err == nil && (old.Kind() == schema.KindRef || v.Kind() == schema.KindRef) {
+		s.refGen.Add(1)
+	}
+	return old, err
+}
+
+func (s *Store) setAtomicLocked(p Path, v Value) (Value, error) {
 	parent, err := s.lookupLocked(p.Parent())
 	if err != nil {
 		return nil, err
@@ -237,6 +256,7 @@ func (s *Store) AddElem(collection Path, id string, v Value) error {
 	default:
 		return fmt.Errorf("store: %q is not a collection", collection)
 	}
+	s.refGen.Add(1)
 	return nil
 }
 
@@ -249,13 +269,19 @@ func (s *Store) RemoveElem(collection Path, id string) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
+	var old Value
 	switch x := cv.(type) {
 	case *Set:
-		return x.Remove(id), nil
+		old = x.Remove(id)
 	case *List:
-		return x.Remove(id), nil
+		old = x.Remove(id)
+	default:
+		return nil, fmt.Errorf("store: %q is not a collection", collection)
 	}
-	return nil, fmt.Errorf("store: %q is not a collection", collection)
+	if old != nil {
+		s.refGen.Add(1)
+	}
+	return old, nil
 }
 
 // BackRef describes one reference found by a reverse scan: the path of the
@@ -311,6 +337,12 @@ func (s *Store) scanValue(v Value, at Path, relation, key string, out *[]BackRef
 		}
 	}
 }
+
+// RefGen returns the reference generation. It changes whenever a
+// mutation may have added or removed a reference: Insert, Delete, AddElem,
+// RemoveElem, SetAtomic of a reference, and RestoreData. Read it before a
+// Refs walk; if it is unchanged afterwards, the walk's result is current.
+func (s *Store) RefGen() uint64 { return s.refGen.Load() }
 
 // ScanCount returns the cumulative number of nodes visited by BackRefs.
 func (s *Store) ScanCount() uint64 { return s.scans.Load() }

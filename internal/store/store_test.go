@@ -314,3 +314,70 @@ func TestPaperDatabaseShape(t *testing.T) {
 		t.Errorf("r2 effectors = %v", ids)
 	}
 }
+
+// TestRefGen: every mutation that may add or remove a reference moves the
+// reference generation; plain attribute updates and failed or no-op
+// mutations do not.
+func TestRefGen(t *testing.T) {
+	s := PaperDatabase()
+	snap, err := s.EncodeData()
+	if err != nil {
+		t.Fatal(err)
+	}
+	effs := ParsePath("cells/c1/robots/r1/effectors")
+	for _, c := range []struct {
+		name  string
+		bumps bool
+		op    func() error
+	}{
+		{"plain SetAtomic", false, func() error {
+			_, err := s.SetAtomic(ParsePath("cells/c1/robots/r1/trajectory"), Str("x"))
+			return err
+		}},
+		{"SetAtomic of a reference", true, func() error {
+			_, err := s.SetAtomic(effs.Child("e1"), Ref{"effectors", "e3"})
+			return err
+		}},
+		{"AddElem", true, func() error { return s.AddElem(effs, "e3", Ref{"effectors", "e3"}) }},
+		{"duplicate AddElem", false, func() error {
+			if s.AddElem(effs, "e3", Ref{"effectors", "e3"}) == nil {
+				t.Error("duplicate AddElem succeeded")
+			}
+			return nil
+		}},
+		{"RemoveElem", true, func() error { _, err := s.RemoveElem(effs, "e3"); return err }},
+		{"RemoveElem of an absent element", false, func() error { _, err := s.RemoveElem(effs, "e3"); return err }},
+		{"Insert", true, func() error {
+			return s.Insert("effectors", "e4", NewTuple().Set("eff_id", Str("e4")).Set("tool", Str("t4")))
+		}},
+		{"Delete", true, func() error { s.Delete("effectors", "e4"); return nil }},
+		{"Delete of an absent object", false, func() error { s.Delete("effectors", "e4"); return nil }},
+		{"RestoreData", true, func() error { return s.RestoreData(snap) }},
+	} {
+		before := s.RefGen()
+		if err := c.op(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if moved := s.RefGen() != before; moved != c.bumps {
+			t.Errorf("%s: generation moved = %v, want %v", c.name, moved, c.bumps)
+		}
+	}
+
+	// A restore that fails the integrity check rolls back; the swap and the
+	// rollback each move the generation.
+	s.Delete("effectors", "e1") // leaves r1's reference dangling
+	bad, err := s.EncodeData()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Insert("effectors", "e1", NewTuple().Set("eff_id", Str("e1")).Set("tool", Str("t1"))); err != nil {
+		t.Fatal(err)
+	}
+	before := s.RefGen()
+	if err := s.RestoreData(bad); err == nil {
+		t.Fatal("restore of a dangling reference succeeded")
+	}
+	if got := s.RefGen() - before; got != 2 {
+		t.Errorf("failed restore moved the generation by %d, want 2", got)
+	}
+}

@@ -126,3 +126,98 @@ func FuzzDecodeErrPayload(f *testing.F) {
 		}
 	})
 }
+
+func FuzzDecodeBeginReq(f *testing.F) {
+	f.Add(BeginReq{Long: true}.Encode())
+	f.Add(BeginReq{}.Encode())
+	f.Add([]byte{2})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		m, err := DecodeBeginReq(p)
+		if err != nil {
+			return
+		}
+		roundTrip(t, m, DecodeBeginReq)
+	})
+}
+
+func FuzzDecodeReleaseReq(f *testing.F) {
+	f.Add(ReleaseReq{Txn: 5, Node: NodeRef{Level: NodePath, Path: []string{"cells", "c1", "robots", "r1"}}}.Encode())
+	f.Add(ReleaseReq{Txn: 1, Node: NodeRef{Level: NodeSegment, Segment: "seg2"}}.Encode())
+	f.Add(ReleaseReq{Txn: 1 << 40, Node: NodeRef{Level: NodeDatabase}}.Encode())
+	f.Add([]byte{1, 9, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		m, err := DecodeReleaseReq(p)
+		if err != nil {
+			return
+		}
+		roundTrip(t, m, DecodeReleaseReq)
+	})
+}
+
+func FuzzDecodeTxnReq(f *testing.F) {
+	f.Add(TxnReq{Txn: 42}.Encode())
+	f.Add(TxnReq{Txn: 1<<64 - 1}.Encode())
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		m, err := DecodeTxnReq(p)
+		if err != nil {
+			return
+		}
+		roundTrip(t, m, DecodeTxnReq)
+	})
+}
+
+func FuzzDecodeTxnReply(f *testing.F) {
+	f.Add(TxnReply{Txn: 7}.Encode())
+	f.Add(TxnReply{}.Encode())
+	f.Add([]byte{0x81})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		m, err := DecodeTxnReply(p)
+		if err != nil {
+			return
+		}
+		roundTrip(t, m, DecodeTxnReply)
+	})
+}
+
+func FuzzDecodePong(f *testing.F) {
+	f.Add(Pong{Lease: 30 * time.Second}.Encode())
+	f.Add(Pong{Lease: -1}.Encode())
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		m, err := DecodePong(p)
+		if err != nil {
+			return
+		}
+		roundTrip(t, m, DecodePong)
+	})
+}
+
+func FuzzReadWelcome(f *testing.F) {
+	for _, wl := range []Welcome{
+		{Version: Version, Code: WelcomeOK, Session: 12, Lease: int64(30 * time.Second)},
+		{Version: Version + 1, Code: WelcomeVersionUnsupported},
+	} {
+		var buf bytes.Buffer
+		if err := WriteWelcome(&buf, wl); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(Magic[:])
+	f.Add([]byte("HTTP/1.1 400 Bad Request\r\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wl, err := ReadWelcome(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteWelcome(&out, wl); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data[:24]) {
+			t.Fatalf("re-encoded welcome % x, read % x", out.Bytes(), data[:24])
+		}
+	})
+}
