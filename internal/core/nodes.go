@@ -180,10 +180,11 @@ func NewNamer(cat *schema.Catalog, coalesceBLUs bool) *Namer {
 	return nm
 }
 
-// DisableCache turns the name cache off: every Resource/Classify call
-// recomputes from scratch, as the pre-cache implementation did. It exists as
-// the benchmark baseline (lockbench -bench hot) and must be called before the
-// namer is shared between goroutines.
+// DisableCache turns the name cache off, and with it the protocol's
+// entry-point cache: every Resource/Classify call recomputes from scratch
+// and every S/X lock walks the store, as the pre-cache implementation did.
+// It exists as the benchmark baseline (lockbench -bench hot) and must be
+// called before the namer is shared between goroutines.
 func (nm *Namer) DisableCache() { nm.nocache = true }
 
 // pathHash is fnv-1a over the path's segments, with a separator byte so
