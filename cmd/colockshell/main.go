@@ -597,12 +597,14 @@ func (s *shell) forceDeadlock() {
 // victim before it delivers the victim event, so the dump can land after
 // the victim's request has already returned.
 func (s *shell) awaitVictimIncident(a, b lock.TxnID) {
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
 		for _, in := range s.iw.Incidents() {
 			if in.Reason == "victim" && (in.Txn == a || in.Txn == b) {
 				return
 			}
 		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

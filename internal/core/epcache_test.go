@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"colock/internal/authz"
@@ -337,5 +338,52 @@ func TestEntryPointScansCountWalks(t *testing.T) {
 	}
 	if n := lockOnce(4); n != 3 {
 		t.Errorf("lock after a reference mutation walked %d times, want 3", n)
+	}
+}
+
+// TestEntryPointCacheConcurrent locks through the cache from several
+// goroutines while another one adds and removes a reference, for the race
+// detector; once the mutations stop, the next lock must see the final
+// reference structure.
+func TestEntryPointCacheConcurrent(t *testing.T) {
+	p, st := newProto(t, Options{})
+	r1 := store.P("cells", "c1", "robots", "r1")
+	effs := r1.Child("effectors")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				txn := lock.TxnID(1 + g*1000 + i)
+				if err := p.LockPath(txn, r1, lock.S); err != nil {
+					t.Error(err)
+				}
+				p.Release(txn)
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if err := st.AddElem(effs, "e3", store.Ref{Relation: "effectors", Key: "e3"}); err != nil {
+				t.Error(err)
+			}
+			if _, err := st.RemoveElem(effs, "e3"); err != nil {
+				t.Error(err)
+			}
+		}
+		if err := st.AddElem(effs, "e3", store.Ref{Relation: "effectors", Key: "e3"}); err != nil {
+			t.Error(err)
+		}
+	}()
+	wg.Wait()
+	if err := p.LockPath(9999, r1, lock.S); err != nil {
+		t.Fatal(err)
+	}
+	e3 := string(p.Namer().MustResource(DataNode(store.P("effectors", "e3"))))
+	if held := heldMap(t, p, 9999); held[e3] != lock.S {
+		t.Errorf("after the mutations, S on r1 does not propagate into e3: %v", held)
 	}
 }

@@ -25,11 +25,8 @@ type Store struct {
 	// data (§3.2.2); the counter makes the cost measurable in E3.
 	scans atomic.Uint64
 
-	// refGen is the reference generation: every mutation that can add or
-	// remove a Ref bumps it while holding mu for writing. A caller that
-	// reads RefGen before a Refs walk and finds it unchanged later knows
-	// the walk's result still holds. Plain attribute updates leave it
-	// alone.
+	// refGen is the reference generation (see RefGen), bumped while mu is
+	// held for writing.
 	refGen atomic.Uint64
 }
 
