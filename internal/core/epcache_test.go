@@ -387,3 +387,44 @@ func TestEntryPointCacheConcurrent(t *testing.T) {
 		t.Errorf("after the mutations, S on r1 does not propagate into e3: %v", held)
 	}
 }
+
+// BenchmarkLockAfterRefMutation measures S locks on cell c1, whose subtree
+// references effectors e1–e3, one transaction per lock. In "miss" every
+// lock follows an AddElem or RemoveElem of r1's reference to e3, so the
+// reference generation has always moved and every lock walks the store:
+// the entry-point cache's worst case. "hit" takes the same locks with no
+// mutations in between. The benchmark uses only the store and protocol
+// APIs, so it runs unchanged on code without the cache, for comparison.
+func BenchmarkLockAfterRefMutation(b *testing.B) {
+	c1 := store.P("cells", "c1")
+	effs := store.P("cells", "c1", "robots", "r1", "effectors")
+	for _, miss := range []bool{true, false} {
+		name := "hit"
+		if miss {
+			name = "miss"
+		}
+		b.Run(name, func(b *testing.B) {
+			st := store.PaperDatabase()
+			p := NewProtocol(lock.NewManager(lock.Options{}), st, NewNamer(st.Catalog(), false), Options{})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if miss {
+					var err error
+					if i%2 == 0 {
+						err = st.AddElem(effs, "e3", store.Ref{Relation: "effectors", Key: "e3"})
+					} else {
+						_, err = st.RemoveElem(effs, "e3")
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				txn := lock.TxnID(i + 1)
+				if err := p.LockPath(txn, c1, lock.S); err != nil {
+					b.Fatal(err)
+				}
+				p.Release(txn)
+			}
+		})
+	}
+}

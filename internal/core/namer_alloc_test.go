@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"colock/internal/lock"
 	"colock/internal/schema"
 	"colock/internal/store"
 )
@@ -70,16 +71,33 @@ func TestNamerCacheMatchesUncached(t *testing.T) {
 				t.Errorf("coalesce=%v %v: cached (%q, %v) != legacy (%q, %v)",
 					coalesce, p, cr, cerr, lr, lerr)
 			}
-			_, canc, cerr := cached.chain(n)
-			_, lanc, lerr := legacy.chain(n)
-			if (cerr == nil) != (lerr == nil) || len(canc) != len(lanc) {
-				t.Errorf("coalesce=%v %v: ancestors differ: cached %v (%v) legacy %v (%v)",
-					coalesce, p, canc, cerr, lanc, lerr)
-				continue
+			// The protocol-facing chain, cached and uncached, must equal the
+			// legacy walk: Ancestors mapped through Resource.
+			ancNodes, aerr := legacy.Ancestors(n)
+			if aerr != nil {
+				t.Fatalf("coalesce=%v %v: Ancestors: %v", coalesce, p, aerr)
 			}
-			for i := range canc {
-				if canc[i] != lanc[i] {
-					t.Errorf("coalesce=%v %v: ancestor %d: %q != %q", coalesce, p, i, canc[i], lanc[i])
+			want := make([]lock.Resource, len(ancNodes))
+			for i, a := range ancNodes {
+				want[i] = legacy.MustResource(a)
+			}
+			for _, nm := range []*Namer{cached, legacy} {
+				res, anc, err := nm.chain(n)
+				if (err == nil) != (lerr == nil) || (err == nil && res != lr) {
+					t.Errorf("coalesce=%v nocache=%v %v: chain resource (%q, %v), want (%q, %v)",
+						coalesce, nm.nocache, p, res, err, lr, lerr)
+				}
+				if err != nil {
+					continue
+				}
+				if len(anc) != len(want) {
+					t.Errorf("coalesce=%v nocache=%v %v: ancestors %v, want %v", coalesce, nm.nocache, p, anc, want)
+					continue
+				}
+				for i := range anc {
+					if anc[i] != want[i] {
+						t.Errorf("coalesce=%v nocache=%v %v: ancestor %d: %q, want %q", coalesce, nm.nocache, p, i, anc[i], want[i])
+					}
 				}
 			}
 		}

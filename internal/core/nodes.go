@@ -293,17 +293,44 @@ func (nm *Namer) segRes(seg string) lock.Resource {
 }
 
 // entryOf resolves a relation- or data-level node to its naming: the cached
-// entry, or, with the cache disabled, a fresh one built for this call.
-// Database and segment nodes have no entry (nil).
+// entry, or, with the cache disabled, a fresh one built for this call by
+// entryUncached. Database and segment nodes have no entry (nil).
 func (nm *Namer) entryOf(n Node) (*nameEntry, error) {
 	switch n.Level {
 	case LevelDatabase, LevelSegment:
 		return nil, nil
 	}
 	if nm.nocache {
-		return nm.buildEntry(n.Path)
+		return nm.entryUncached(n)
 	}
 	return nm.entryFor(n.Path)
+}
+
+// entryUncached names n the way the pre-cache implementation did:
+// resourceUncached, Ancestors mapped through Resource, and
+// classifyUncached. It shares no code with buildEntry, so a DisableCache
+// namer stays an independent reference for the cache.
+func (nm *Namer) entryUncached(n Node) (*nameEntry, error) {
+	if len(n.Path) == 0 {
+		return nil, fmt.Errorf("core: empty path")
+	}
+	res, err := nm.resourceUncached(n)
+	if err != nil {
+		return nil, err
+	}
+	ancNodes, err := nm.Ancestors(n)
+	if err != nil {
+		return nil, err
+	}
+	anc := make([]lock.Resource, len(ancNodes))
+	for i, a := range ancNodes {
+		if anc[i], err = nm.Resource(a); err != nil {
+			return nil, err
+		}
+	}
+	e := &nameEntry{path: n.Path, res: res, anc: anc}
+	e.info, e.infoErr = nm.classifyUncached(n.Path)
+	return e, nil
 }
 
 // chain returns the resource name of n together with its ancestor resources

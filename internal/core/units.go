@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"colock/internal/store"
 )
@@ -228,6 +230,9 @@ func EntryPointsUnder(st *store.Store, nm *Namer, n Node) ([]store.Path, error) 
 		key string
 		p   store.Path
 	}
+	if len(refs) == 0 {
+		return nil, nil
+	}
 	ks := make([]keyed, 0, len(refs))
 	for _, r := range refs {
 		p := store.P(r.Target.Relation, r.Target.Key)
@@ -239,8 +244,11 @@ func EntryPointsUnder(st *store.Store, nm *Namer, n Node) ([]store.Path, error) 
 		}
 		ks = append(ks, keyed{p.String(), p})
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
-	var out []store.Path
+	if len(ks) == 0 {
+		return nil, nil
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	out := make([]store.Path, 0, len(ks))
 	for i, k := range ks {
 		if i == 0 || k.key != ks[i-1].key {
 			out = append(out, k.p)
