@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench benchreport bench-smoke bench-e2e-smoke healthmon-smoke journal-smoke benchdiff nodeprecated doc-lint drift-check obs-demo trace-demo figures clean
+.PHONY: ci fmt vet build test race bench benchreport bench-smoke bench-e2e-smoke fuzz-smoke healthmon-smoke journal-smoke benchdiff nodeprecated doc-lint drift-check obs-demo trace-demo figures clean
 
 # ci is the gate every change must pass: formatting, vet, the
 # no-deprecated-wrappers grep, the godoc and docs-drift lints, build, the
@@ -8,9 +8,10 @@ GO ?= go
 # are concurrent; -race is not optional here), the end-to-end
 # incident-dump demo, the lockbench smoke gate (fast-path,
 # contention-survival, grant-path and network scenarios), the colockbench
-# end-to-end smoke gate, the health-monitor smoke gate, and the
-# journal-forensics smoke gate.
-ci: fmt vet nodeprecated doc-lint drift-check build race trace-demo bench-smoke bench-e2e-smoke healthmon-smoke journal-smoke
+# end-to-end smoke gate, two seconds of fuzzing for every fuzz target of the
+# untrusted-input decoders (wire codec, HDBL lexer and parser), the
+# health-monitor smoke gate, and the journal-forensics smoke gate.
+ci: fmt vet nodeprecated doc-lint drift-check build race trace-demo bench-smoke bench-e2e-smoke fuzz-smoke healthmon-smoke journal-smoke
 
 # fmt fails if any file needs gofmt, listing the offenders.
 fmt:
@@ -77,6 +78,21 @@ bench-e2e-smoke:
 			*) echo "bench-e2e-smoke: $$1: $$last"; exit 1 ;; esac; \
 	done && \
 	echo "bench-e2e-smoke: remote-read and local-query are correct with no failed operations"
+
+# fuzz-smoke fuzzes every Fuzz target of internal/wire and internal/query for
+# two seconds each; plain `go test` only replays their seed corpora. It
+# fails on any finding, which go test also saves under the package's
+# testdata/fuzz for replay.
+fuzz-smoke:
+	@for pkg in ./internal/wire ./internal/query; do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg) || \
+			{ printf '%s\n' "$$list"; echo "fuzz-smoke: cannot list $$pkg"; exit 1; }; \
+		for f in $$(printf '%s\n' "$$list" | grep '^Fuzz'); do \
+			out=$$($(GO) test $$pkg -run '^$$' -fuzz "^$$f\$$" -fuzztime 2s 2>&1) || \
+				{ printf '%s\n' "$$out"; echo "fuzz-smoke: $$pkg $$f failed"; exit 1; }; \
+		done; \
+	done && \
+	echo "fuzz-smoke: every wire and query fuzz target ran 2s without a finding"
 
 # healthmon-smoke runs a scripted colockshell session that storms a hot key
 # and dumps the /health document with `.health dump`, then asserts, via the

@@ -74,13 +74,25 @@ func newGrantCache() *grantCache {
 	return gc
 }
 
+// maxPooledGrants caps the size of a grant map that is recycled. Go maps
+// never shrink, so a map that once held more is left to the collector: one
+// huge transaction must not pin its buckets in the pool.
+const maxPooledGrants = 256
+
+// grantMapPool recycles the grant maps of invalidated caches. Only the map
+// is pooled, never the txnGrants: a lock call that raced invalidation may
+// still hold the detached struct.
+var grantMapPool = sync.Pool{New: func() any {
+	return make(map[lock.Resource]cachedGrant, 16)
+}}
+
 // get returns txn's cache, creating it on first use.
 func (gc *grantCache) get(txn lock.TxnID) *txnGrants {
 	s := &gc.shards[uint64(txn)%grantCacheShards]
 	s.mu.Lock()
 	tg := s.txns[txn]
 	if tg == nil {
-		tg = &txnGrants{m: make(map[lock.Resource]cachedGrant, 16)}
+		tg = &txnGrants{m: grantMapPool.Get().(map[lock.Resource]cachedGrant)}
 		s.txns[txn] = tg
 	}
 	s.mu.Unlock()
@@ -89,7 +101,10 @@ func (gc *grantCache) get(txn lock.TxnID) *txnGrants {
 
 // invalidate drops txn's entire cache. Registered as the lock manager's
 // OnRelease callback, so it runs (with no manager latch held) after every
-// Release, ReleaseAll and Downgrade that retracted coverage.
+// Release, ReleaseAll and Downgrade that retracted coverage. The map goes
+// back to the pool exactly once: only the call that removed tg from its
+// shard reaches it, and it sets tg.m to nil under tg.mu first, so a racing
+// covers or note sees a nil map, never the recycled one.
 func (gc *grantCache) invalidate(txn lock.TxnID) {
 	s := &gc.shards[uint64(txn)%grantCacheShards]
 	s.mu.Lock()
@@ -98,8 +113,14 @@ func (gc *grantCache) invalidate(txn lock.TxnID) {
 	s.mu.Unlock()
 	if tg != nil {
 		tg.mu.Lock()
+		m := tg.m
 		tg.detached = true
 		tg.m = nil
+		// Grants are only ever added, so len(m) is the map's peak size.
+		if m != nil && len(m) <= maxPooledGrants {
+			clear(m)
+			grantMapPool.Put(m)
+		}
 		tg.mu.Unlock()
 	}
 }

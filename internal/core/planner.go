@@ -167,10 +167,23 @@ func PlanQuery(cat *schema.Catalog, spec QuerySpec, opts PlannerOptions) (Plan, 
 	}
 	stats := cat.Stats()
 
+	// fanouts[i] is hop i's average fan-out; counts[l] the expected number
+	// of instance locks if locking at level l; fractions[l] the touched
+	// fraction at element-ish levels. All three share one buffer, on the
+	// stack for plans of up to four hops.
+	nLevels := 2 + 2*len(spec.Hops)
+	var stack [4 + 2*(2+2*4)]float64
+	buf := stack[:]
+	if n := len(spec.Hops) + 2*nLevels; n > len(buf) {
+		buf = make([]float64, n)
+	}
+	h := len(spec.Hops)
+	fanouts, counts, fractions := buf[:h], buf[h:h+nLevels], buf[h+nLevels:h+2*nLevels]
+
 	// Validate hops against the schema and gather fan-outs.
 	t := rel.Type
-	statPath := spec.Relation
-	fanouts := make([]float64, len(spec.Hops))
+	var pathBuf [64]byte
+	statPath := append(pathBuf[:0], spec.Relation...)
 	for i, h := range spec.Hops {
 		for _, a := range h.Attrs {
 			if t.Kind != schema.KindTuple {
@@ -181,21 +194,17 @@ func PlanQuery(cat *schema.Catalog, spec QuerySpec, opts PlannerOptions) (Plan, 
 				return Plan{}, fmt.Errorf("core: hop %d: no attribute %q", i, a)
 			}
 			t = ft
-			statPath += "." + a
+			statPath = append(append(statPath, '.'), a...)
 		}
 		if t.Kind != schema.KindSet && t.Kind != schema.KindList {
 			return Plan{}, fmt.Errorf("core: hop %d: %q is not a collection", i, strings.Join(h.Attrs, "."))
 		}
-		fanouts[i] = stats.CardOr(statPath, 8)
+		fanouts[i] = stats.CardOr(string(statPath), 8)
 		// Descend into the element type for the next hop.
 		t = t.Elem
 	}
 	relCard := stats.CardOr(spec.Relation, 100)
 
-	// counts[l] = expected number of instance locks if locking at level l.
-	nLevels := 2 + 2*len(spec.Hops)
-	counts := make([]float64, nLevels)
-	fractions := make([]float64, nLevels) // touched fraction at element-ish levels
 	counts[0] = 1
 	fractions[0] = 1
 	objSel := spec.ObjectSelectivity

@@ -395,8 +395,14 @@ func (p *Protocol) upwardBatched(ctx context.Context, txn lock.TxnID, anc []lock
 	if need == 0 {
 		return nil
 	}
-	// Pass 2 (cold): re-derive the manager-needing set pass 1 counted.
-	reqs := make([]lock.BatchReq, 0, need)
+	// Pass 2 (cold): re-derive the manager-needing set pass 1 counted,
+	// into a stack buffer when the spine is short (AcquireBatch does not
+	// retain the slice).
+	var buf [8]lock.BatchReq
+	reqs := buf[:0]
+	if need > len(buf) {
+		reqs = make([]lock.BatchReq, 0, need)
+	}
 	for _, ares := range anc {
 		if prev, ok := requested[ares]; ok && prev.Covers(intent) {
 			continue

@@ -1142,7 +1142,9 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 	tr := m.newTracer()
 	var released []Resource
 	any := false
-	for _, r := range m.txnShardFor(txn).snapshot(txn) {
+	bufp := sweepPool.Get().(*[]Resource)
+	rs := m.txnShardFor(txn).snapshot(txn, (*bufp)[:0])
+	for _, r := range rs {
 		s := m.shardFor(r)
 		s.mu.Lock()
 		dropped := m.releaseLocked(tr, s, txn, r)
@@ -1153,6 +1155,11 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 				released = append(released, r)
 			}
 		}
+	}
+	if cap(rs) <= maxPooledHeld {
+		clear(rs)
+		*bufp = rs[:0]
+		sweepPool.Put(bufp)
 	}
 	if len(released) > 0 {
 		tr.add(Event{Kind: "release-all", Txn: txn, Resources: released}, tr.start)
@@ -1176,7 +1183,7 @@ func (m *Manager) HeldMode(txn TxnID, r Resource) Mode {
 
 // HeldLocks returns all locks currently held by txn, in acquisition order.
 func (m *Manager) HeldLocks(txn TxnID) []Held {
-	rs := m.txnShardFor(txn).snapshot(txn)
+	rs := m.txnShardFor(txn).snapshot(txn, nil)
 	out := make([]Held, 0, len(rs))
 	for _, r := range rs {
 		s := m.shardFor(r)

@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -129,46 +130,77 @@ func (ss *shardStats) reset() {
 // resource shards looking for a transaction's locks.
 type txnShard struct {
 	mu   sync.Mutex
-	held map[TxnID]map[Resource]struct{}
+	held map[TxnID]*heldSet
 }
 
 func newTxnShard() *txnShard {
-	return &txnShard{held: make(map[TxnID]map[Resource]struct{})}
+	return &txnShard{held: make(map[TxnID]*heldSet)}
 }
+
+// maxPooledHeld caps the size of a held set (and of a ReleaseAll sweep
+// buffer) that is recycled. Go maps never shrink, so a set that once held
+// more is left to the collector: one huge transaction must not pin its
+// buckets in the pool.
+const maxPooledHeld = 256
+
+// heldSet is one transaction's held resources. Sets come from heldSetPool
+// and go back, cleared, under the txn-shard latch when the transaction's
+// last lock leaves the set — the moment ts.held forgets it, so nothing
+// else can still reach it.
+type heldSet struct {
+	m map[Resource]struct{}
+	// big records that the set grew past maxPooledHeld.
+	big bool
+}
+
+var heldSetPool = sync.Pool{New: func() any {
+	return &heldSet{m: make(map[Resource]struct{})}
+}}
 
 func (ts *txnShard) add(txn TxnID, r Resource) {
 	ts.mu.Lock()
 	set := ts.held[txn]
 	if set == nil {
-		set = make(map[Resource]struct{})
+		set = heldSetPool.Get().(*heldSet)
 		ts.held[txn] = set
 	}
-	set[r] = struct{}{}
+	set.m[r] = struct{}{}
+	if len(set.m) > maxPooledHeld {
+		set.big = true
+	}
 	ts.mu.Unlock()
 }
 
 func (ts *txnShard) remove(txn TxnID, r Resource) {
 	ts.mu.Lock()
 	if set := ts.held[txn]; set != nil {
-		delete(set, r)
-		if len(set) == 0 {
+		delete(set.m, r)
+		if len(set.m) == 0 {
 			delete(ts.held, txn)
+			if !set.big {
+				heldSetPool.Put(set)
+			}
 		}
 	}
 	ts.mu.Unlock()
 }
 
-// snapshot returns the resources txn holds at the moment of the call.
-func (ts *txnShard) snapshot(txn TxnID) []Resource {
+// snapshot appends the resources txn holds at the moment of the call to
+// buf and returns the result.
+func (ts *txnShard) snapshot(txn TxnID, buf []Resource) []Resource {
 	ts.mu.Lock()
-	set := ts.held[txn]
-	out := make([]Resource, 0, len(set))
-	for r := range set {
-		out = append(out, r)
+	if set := ts.held[txn]; set != nil {
+		buf = slices.Grow(buf, len(set.m))
+		for r := range set.m {
+			buf = append(buf, r)
+		}
 	}
 	ts.mu.Unlock()
-	return out
+	return buf
 }
+
+// sweepPool recycles ReleaseAll's snapshot buffers.
+var sweepPool = sync.Pool{New: func() any { return new([]Resource) }}
 
 // waitRecord is a transaction's single outstanding lock request. Records
 // are stored BY VALUE: get returns a copy, so readers never alias a record

@@ -25,8 +25,8 @@ type Analysis struct {
 	// relation binding, i = hop i-1's element binding).
 	SelectBinding int
 	// Residual groups the predicates that must be evaluated by reading
-	// data, keyed by binding index.
-	Residual map[int][]Predicate
+	// data, indexed by binding; nil when every predicate binds a key.
+	Residual [][]Predicate
 	// ElemTypes caches the tuple type of each binding's instances (nil for
 	// non-tuple elements), index 0 being the relation's object type.
 	ElemTypes []*schema.Type
@@ -71,15 +71,19 @@ func Analyze(cat *schema.Catalog, q *Query, opts AnalyzeOptions) (*Analysis, err
 	}
 
 	an := &Analysis{
-		Query:    q,
-		Residual: make(map[int][]Predicate),
+		Query:     q,
+		ElemTypes: make([]*schema.Type, 1, len(q.From)),
 	}
 	an.Spec.Relation = rel.Name
 	an.Spec.NoFollowRefs = q.NoFollow
 	if q.Update {
 		an.Spec.Access = core.AccessUpdate
 	}
-	an.ElemTypes = []*schema.Type{rel.Type}
+	an.ElemTypes[0] = rel.Type
+	if hops := len(q.From) - 1; hops > 0 {
+		an.Spec.Hops = make([]core.Hop, 0, hops)
+		an.HopKeys = make([]string, 0, hops)
+	}
 
 	// Resolve the hop chain.
 	cur := rel.Type
@@ -194,6 +198,9 @@ func Analyze(cat *schema.Catalog, q *Query, opts AnalyzeOptions) (*Analysis, err
 			continue
 		}
 
+		if an.Residual == nil {
+			an.Residual = make([][]Predicate, len(q.From))
+		}
 		an.Residual[idx] = append(an.Residual[idx], p)
 		sel := opts.RangeSelectivity
 		if p.Op == "=" {
@@ -213,6 +220,19 @@ func Analyze(cat *schema.Catalog, q *Query, opts AnalyzeOptions) (*Analysis, err
 		}
 	}
 	return an, nil
+}
+
+// repeatsProjection reports whether two rows can project the same
+// instance. The bindings up to the projected one fix its path, and a
+// key-bound binding adds one element per row, so that takes a binding after
+// the projected one that is not key-bound.
+func (an *Analysis) repeatsProjection() bool {
+	for _, h := range an.Spec.Hops[an.SelectBinding:] {
+		if !h.Bound {
+			return true
+		}
+	}
+	return false
 }
 
 // keyAttr returns the attribute name whose equality predicate binds binding

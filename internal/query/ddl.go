@@ -35,11 +35,10 @@ type CreateStatement struct {
 
 // ParseCreate parses a CREATE RELATION statement.
 func ParseCreate(input string) (*CreateStatement, error) {
-	toks, err := lex(input)
-	if err != nil {
+	var p parser
+	if err := p.init(input); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, input: input}
 	if err := p.expectKeyword("CREATE"); err != nil {
 		return nil, err
 	}

@@ -80,11 +80,10 @@ type Statement struct {
 
 // ParseStatement parses a statement of any kind.
 func ParseStatement(input string) (*Statement, error) {
-	toks, err := lex(input)
-	if err != nil {
+	var p parser
+	if err := p.init(input); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, input: input}
 	t := p.cur()
 	if t.kind != tokKeyword {
 		return nil, p.errf("expected SELECT, UPDATE, DELETE or INSERT")
@@ -169,7 +168,7 @@ func (p *parser) parseTail(target string) (*Query, error) {
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
-	q := &Query{Select: target, Update: true}
+	q := &Query{Select: target, Update: true, From: make([]Binding, 0, p.bindings)}
 	for {
 		b, err := p.parseBinding()
 		if err != nil {
@@ -184,6 +183,7 @@ func (p *parser) parseTail(target string) (*Query, error) {
 	}
 	if p.cur().kind == tokKeyword && p.cur().text == "WHERE" {
 		p.pos++
+		q.Where = make([]Predicate, 0, p.preds)
 		for {
 			pred, err := p.parsePredicate()
 			if err != nil {

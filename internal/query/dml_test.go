@@ -183,11 +183,15 @@ func TestExecUpdateValidatesSets(t *testing.T) {
 		`UPDATE r SET effectors = 'x' FROM c IN cells, r IN c.robots`, // non-atomic
 		`UPDATE r SET trajectory = 42 FROM c IN cells, r IN c.robots`, // wrong kind
 		`UPDATE c SET robots.r1 = 'x' FROM c IN cells`,                // not a tuple chain
+		`UPDATE r SET nope = 'x' FROM c IN cells, r IN c.zz`,          // query fails analysis first
 	}
 	for _, src := range bad {
 		if _, err := f.exec.RunStatement(tx, src); err == nil {
 			t.Errorf("accepted %q", src)
 		}
+	}
+	if held := heldOf(f, tx.ID()); len(held) != 0 {
+		t.Errorf("rejected updates took locks: %v", held)
 	}
 }
 

@@ -41,12 +41,16 @@ func (e *Executor) Run(tx *txn.Txn, input string) ([]Result, core.Plan, error) {
 
 // RunQuery analyzes, plans and executes a parsed query.
 func (e *Executor) RunQuery(tx *txn.Txn, q *Query) ([]Result, core.Plan, error) {
-	cat := e.mgr.Store().Catalog()
-	an, err := Analyze(cat, q, AnalyzeOptions{})
+	an, err := Analyze(e.mgr.Store().Catalog(), q, AnalyzeOptions{})
 	if err != nil {
 		return nil, core.Plan{}, err
 	}
-	plan, err := core.PlanQuery(cat, an.Spec, e.opts)
+	return e.runAnalyzed(tx, an)
+}
+
+// runAnalyzed plans and executes an analyzed query.
+func (e *Executor) runAnalyzed(tx *txn.Txn, an *Analysis) ([]Result, core.Plan, error) {
+	plan, err := core.PlanQuery(e.mgr.Store().Catalog(), an.Spec, e.opts)
 	if err != nil {
 		return nil, core.Plan{}, err
 	}
@@ -65,7 +69,9 @@ type execState struct {
 	// chain[i] is the instance path bound by binding i on the current row.
 	chain   []store.Path
 	results []Result
-	seen    map[string]bool
+	// seen dedupes projected instances; nil when no two rows can project
+	// the same one.
+	seen map[string]bool
 }
 
 func (e *Executor) execute(tx *txn.Txn, an *Analysis, plan core.Plan) ([]Result, error) {
@@ -75,7 +81,9 @@ func (e *Executor) execute(tx *txn.Txn, an *Analysis, plan core.Plan) ([]Result,
 		plan:  plan,
 		st:    e.mgr.Store(),
 		chain: make([]store.Path, len(an.Query.From)),
-		seen:  make(map[string]bool),
+	}
+	if an.repeatsProjection() {
+		s.seen = make(map[string]bool)
 	}
 
 	// Coarsest granule: one lock on the relation covers the whole query.
@@ -139,12 +147,10 @@ func (s *execState) walk(idx int, instance store.Path) error {
 		return s.project()
 	}
 
-	// Descend into hop idx (binding idx+1).
+	// Descend into hop idx (binding idx+1). The collection path has room
+	// for a bound element's ID.
 	hop := s.an.Spec.Hops[idx]
-	collPath := instance
-	for _, a := range hop.Attrs {
-		collPath = collPath.Child(a)
-	}
+	collPath := extend(instance, hop.Attrs, 1)
 	collLevel := collectionLevel(idx)
 	if s.plan.Level == collLevel {
 		if err := s.lockInstance(collPath, s.plan.Mode); err != nil {
@@ -153,8 +159,8 @@ func (s *execState) walk(idx int, instance store.Path) error {
 	}
 
 	if key := s.an.HopKeys[idx]; key != "" {
-		elem := collPath.Child(key)
-		if _, err := s.st.Lookup(elem); err != nil {
+		elem := append(collPath, key)
+		if !s.st.Has(elem) {
 			return nil // bound element absent on this row
 		}
 		return s.walk(idx+1, elem)
@@ -177,11 +183,11 @@ func (s *execState) walk(idx int, instance store.Path) error {
 // the coarse plan lock; uncovered reads S-lock the attribute (the
 // predicate-test locks the paper's footnote 5 sets aside).
 func (s *execState) evalResiduals(idx int, instance store.Path, covered bool) (bool, error) {
+	if s.an.Residual == nil {
+		return true, nil
+	}
 	for _, pred := range s.an.Residual[idx] {
-		p := instance
-		for _, a := range pred.Path[1:] {
-			p = p.Child(a)
-		}
+		p := extend(instance, pred.Path[1:], 0)
 		var v store.Value
 		var err error
 		if covered {
@@ -207,11 +213,13 @@ func (s *execState) evalResiduals(idx int, instance store.Path, covered bool) (b
 // ensuring it carries a result lock of the plan's mode.
 func (s *execState) project() error {
 	sel := s.chain[s.an.SelectBinding]
-	key := sel.String()
-	if s.seen[key] {
-		return nil
+	if s.seen != nil {
+		key := sel.String()
+		if s.seen[key] {
+			return nil
+		}
+		s.seen[key] = true
 	}
-	s.seen[key] = true
 	selLevel := bindingLevel(s.an.SelectBinding)
 	if !s.covered(selLevel) && s.plan.Level != selLevel {
 		// The plan locked deeper levels only; the projected instance needs
@@ -220,16 +228,24 @@ func (s *execState) project() error {
 			return err
 		}
 	}
-	proj := sel
-	for _, a := range s.an.Query.SelectAttrs {
-		proj = proj.Child(a)
-	}
+	proj := extend(sel, s.an.Query.SelectAttrs, 0)
 	v, err := s.tx.ReadAt(proj)
 	if err != nil {
 		return err
 	}
 	s.results = append(s.results, Result{Path: proj.Clone(), Value: v})
 	return nil
+}
+
+// extend returns p followed by segs in a fresh array with room for extra
+// more segments; p itself when there is nothing to add.
+func extend(p store.Path, segs []string, extra int) store.Path {
+	if len(segs)+extra == 0 {
+		return p
+	}
+	out := make(store.Path, len(p), len(p)+len(segs)+extra)
+	copy(out, p)
+	return append(out, segs...)
 }
 
 // comparePred compares an atomic value with a literal.

@@ -50,26 +50,27 @@ func (e *Executor) ExecStatement(tx *txn.Txn, stmt *Statement) (*StatementResult
 }
 
 // execUpdate runs the underlying FOR UPDATE query, then applies the SET
-// clauses to every matched instance under the already-held X coverage.
+// clauses to every matched instance under the already-held X coverage. The
+// query is analyzed once: the SET clauses are checked against that analysis
+// before any lock is taken, and the same analysis is planned and executed.
 func (e *Executor) execUpdate(tx *txn.Txn, stmt *Statement) (*StatementResult, error) {
-	cat := e.mgr.Store().Catalog()
 	if err := e.requireModifyRight(tx, stmt.Query.From[0].Source[0]); err != nil {
 		return nil, err
 	}
-	if err := validateSetClauses(cat, stmt); err != nil {
+	an, err := Analyze(e.mgr.Store().Catalog(), stmt.Query, AnalyzeOptions{})
+	if err != nil {
 		return nil, err
 	}
-	res, plan, err := e.RunQuery(tx, stmt.Query)
+	if err := validateSetClauses(an, stmt.Sets); err != nil {
+		return nil, err
+	}
+	res, plan, err := e.runAnalyzed(tx, an)
 	if err != nil {
 		return nil, err
 	}
 	for _, r := range res {
 		for _, set := range stmt.Sets {
-			p := r.Path
-			for _, a := range set.Attrs {
-				p = p.Child(a)
-			}
-			if err := tx.UpdateAtomicAt(p, set.Value); err != nil {
+			if err := tx.UpdateAtomicAt(extend(r.Path, set.Attrs, 0), set.Value); err != nil {
 				return nil, err
 			}
 		}
@@ -79,13 +80,9 @@ func (e *Executor) execUpdate(tx *txn.Txn, stmt *Statement) (*StatementResult, e
 
 // validateSetClauses checks the SET attribute chains against the schema type
 // of the updated variable, before any locks are taken.
-func validateSetClauses(cat *schema.Catalog, stmt *Statement) error {
-	an, err := Analyze(cat, stmt.Query, AnalyzeOptions{})
-	if err != nil {
-		return err
-	}
+func validateSetClauses(an *Analysis, sets []SetClause) error {
 	t := an.ElemTypes[an.SelectBinding]
-	for _, set := range stmt.Sets {
+	for _, set := range sets {
 		ft := t
 		for _, a := range set.Attrs {
 			if ft == nil || ft.Kind != schema.KindTuple {

@@ -310,6 +310,21 @@ func TestExecProjectIntermediateVar(t *testing.T) {
 	}
 }
 
+// TestExecProjectionDedupes: when a binding after the projected one scans,
+// several rows share the projected instance, which is returned once.
+func TestExecProjectionDedupes(t *testing.T) {
+	f := newFixture(t, core.Options{})
+	tx := f.mgr.Begin()
+	defer tx.Abort()
+	res, _, err := f.exec.Run(tx, `SELECT c FROM c IN cells, r IN c.robots FOR READ`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || res[0].Path.String() != "cells/c1" {
+		t.Fatalf("results = %v, want cells/c1 once for its two robots", res)
+	}
+}
+
 func TestExecResultsAreClones(t *testing.T) {
 	f := newFixture(t, core.Options{})
 	tx := f.mgr.Begin()

@@ -37,20 +37,61 @@ type token struct {
 	pos  int    // byte offset for error messages
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true,
-	"FOR": true, "READ": true, "UPDATE": true, "IN": true,
-	"NOFOLLOW": true, "TRUE": true, "FALSE": true,
-	// DML statements and value literals:
-	"DELETE": true, "INSERT": true, "INTO": true, "VALUE": true,
-	"SET": true, "LIST": true, "REF": true,
-	// DDL:
-	"CREATE": true, "RELATION": true, "SEGMENT": true, "KEY": true,
+// keywords maps each keyword's upper-case spelling to itself, so the lexer
+// can hand out the canonical string without building one per token.
+var keywords = map[string]string{}
+
+// maxKeywordLen bounds the keywords' length; longer words are identifiers
+// without a lookup.
+const maxKeywordLen = 8
+
+func init() {
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "AND", "FOR", "READ", "UPDATE", "IN",
+		"NOFOLLOW", "TRUE", "FALSE",
+		// DML statements and value literals:
+		"DELETE", "INSERT", "INTO", "VALUE", "SET", "LIST", "REF",
+		// DDL:
+		"CREATE", "RELATION", "SEGMENT", "KEY",
+	} {
+		if len(kw) > maxKeywordLen {
+			panic("query: keyword " + kw + " is longer than maxKeywordLen")
+		}
+		keywords[kw] = kw
+	}
 }
+
+// keyword returns the canonical keyword a word spells, case-insensitively,
+// or "" if it is an identifier. It allocates nothing: the word is
+// upper-cased into a stack buffer. A word with a non-ASCII byte is never a
+// keyword: no rune such a word can spell upper-cases to ASCII.
+func keyword(word string) string {
+	if len(word) > maxKeywordLen {
+		return ""
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		switch {
+		case c >= 0x80:
+			return ""
+		case 'a' <= c && c <= 'z':
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return keywords[string(buf[:len(word)])]
+}
+
+// maxPresizedTokens bounds the token slice lex reserves before it starts.
+const maxPresizedTokens = 64
 
 // lex splits the input into tokens.
 func lex(input string) ([]token, error) {
-	var toks []token
+	// Statements average over three bytes per token; sizing for that
+	// avoids regrowing the slice on the common path. The cap keeps a long
+	// input from reserving its worst case up front.
+	toks := make([]token, 0, min(len(input)/3+2, maxPresizedTokens))
 	i := 0
 	for i < len(input) {
 		c := rune(input[i])
@@ -73,9 +114,8 @@ func lex(input string) ([]token, error) {
 				j++
 			}
 			word := input[i:j]
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, token{tokKeyword, upper, i})
+			if kw := keyword(word); kw != "" {
+				toks = append(toks, token{tokKeyword, kw, i})
 			} else {
 				toks = append(toks, token{tokIdent, word, i})
 			}
@@ -109,7 +149,7 @@ func lex(input string) ([]token, error) {
 			}
 		case c == '=' || c == '.' || c == ',' || c == '{' || c == '}' ||
 			c == '(' || c == ')' || c == ':':
-			toks = append(toks, token{tokSymbol, string(c), i})
+			toks = append(toks, token{tokSymbol, input[i : i+1], i})
 			i++
 		default:
 			return nil, fmt.Errorf("query: unexpected character %q at offset %d", c, i)

@@ -20,11 +20,10 @@ import (
 //	op      := '=' | '<>' | '<' | '>' | '<=' | '>='
 //	literal := 'string' | number | TRUE | FALSE
 func Parse(input string) (*Query, error) {
-	toks, err := lex(input)
-	if err != nil {
+	var p parser
+	if err := p.init(input); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, input: input}
 	q, err := p.parseQuery()
 	if err != nil {
 		return nil, err
@@ -39,6 +38,35 @@ type parser struct {
 	toks  []token
 	pos   int
 	input string
+	// segs backs every path the parser returns: each path segment is an
+	// identifier token, so one array sized by their count holds them all.
+	segs []string
+	// bindings and preds bound a statement's FROM bindings (one IN each)
+	// and WHERE predicates (one more than its ANDs), to size those slices
+	// once.
+	bindings, preds int
+}
+
+// init lexes input and sizes the parser's per-statement arrays from the
+// token stream.
+func (p *parser) init(input string) error {
+	toks, err := lex(input)
+	if err != nil {
+		return err
+	}
+	idents, ins, ands := 0, 0, 0
+	for _, t := range toks {
+		switch {
+		case t.kind == tokIdent:
+			idents++
+		case t.kind == tokKeyword && t.text == "IN":
+			ins++
+		case t.kind == tokKeyword && t.text == "AND":
+			ands++
+		}
+	}
+	*p = parser{toks: toks, input: input, segs: make([]string, 0, idents), bindings: ins, preds: ands + 1}
+	return nil
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -78,7 +106,7 @@ func (p *parser) parseQuery() (*Query, error) {
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
-	q := &Query{Select: sel[0], SelectAttrs: sel[1:]}
+	q := &Query{Select: sel[0], SelectAttrs: sel[1:], From: make([]Binding, 0, p.bindings)}
 	for {
 		b, err := p.parseBinding()
 		if err != nil {
@@ -93,6 +121,7 @@ func (p *parser) parseQuery() (*Query, error) {
 	}
 	if p.cur().kind == tokKeyword && p.cur().text == "WHERE" {
 		p.pos++
+		q.Where = make([]Predicate, 0, p.preds)
 		for {
 			pred, err := p.parsePredicate()
 			if err != nil {
@@ -144,21 +173,24 @@ func (p *parser) parseBinding() (Binding, error) {
 	return Binding{Var: v, Source: src}, nil
 }
 
+// parsePath returns a slice of p.segs capped at its length, so appending to
+// one path never overwrites the next.
 func (p *parser) parsePath() ([]string, error) {
+	start := len(p.segs)
 	first, err := p.expectIdent()
 	if err != nil {
 		return nil, err
 	}
-	path := []string{first}
+	p.segs = append(p.segs, first)
 	for p.cur().kind == tokSymbol && p.cur().text == "." {
 		p.pos++
 		seg, err := p.expectIdent()
 		if err != nil {
 			return nil, err
 		}
-		path = append(path, seg)
+		p.segs = append(p.segs, seg)
 	}
-	return path, nil
+	return p.segs[start:len(p.segs):len(p.segs)], nil
 }
 
 var validOps = map[string]bool{"=": true, "<>": true, "<": true, ">": true, "<=": true, ">=": true}

@@ -1,0 +1,7 @@
+//go:build race
+
+package query
+
+// raceEnabled reports a -race build, where sync.Pool drops items at random
+// and pool-dependent allocation ceilings cannot hold.
+const raceEnabled = true

@@ -142,6 +142,38 @@ func (s *Store) Lookup(p Path) (Value, error) {
 	return s.lookupLocked(p)
 }
 
+// Has reports whether Lookup(p) would succeed, without building the error
+// for an absent value: the query executor probes every key-bound element
+// this way.
+func (s *Store) Has(p Path) bool {
+	if len(p) < 2 || p.Validate() != nil {
+		return false
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	obj, ok := s.rels[p.Relation()][p.Key()]
+	if !ok {
+		return false
+	}
+	var cur Value = obj
+	for _, seg := range p[2:] {
+		switch x := cur.(type) {
+		case *Tuple:
+			cur = x.Get(seg)
+		case *Set:
+			cur = x.Get(seg)
+		case *List:
+			cur = x.Get(seg)
+		default:
+			return false
+		}
+		if cur == nil {
+			return false
+		}
+	}
+	return true
+}
+
 func (s *Store) lookupLocked(p Path) (Value, error) {
 	rel, ok := s.rels[p.Relation()]
 	if !ok {

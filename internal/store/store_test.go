@@ -104,6 +104,9 @@ func TestLookupPaths(t *testing.T) {
 		{"effectors/e3/tool", `"t3"`},
 	}
 	for _, c := range cases {
+		if !s.Has(ParsePath(c.path)) {
+			t.Errorf("Has(%s) = false", c.path)
+		}
 		v, err := s.Lookup(ParsePath(c.path))
 		if err != nil {
 			t.Errorf("Lookup(%s): %v", c.path, err)
@@ -127,6 +130,9 @@ func TestLookupPaths(t *testing.T) {
 	for _, p := range bad {
 		if _, err := s.Lookup(ParsePath(p)); err == nil {
 			t.Errorf("Lookup(%q) succeeded", p)
+		}
+		if s.Has(ParsePath(p)) {
+			t.Errorf("Has(%q) = true", p)
 		}
 	}
 }
